@@ -52,6 +52,19 @@ struct Workbench
     std::vector<std::vector<float>> pool;
 };
 
+/** Serve @p requests Poisson arrivals at @p rps on a fresh server. */
+void
+servePoisson(Workbench &bench_state, double rps, unsigned requests)
+{
+    bench_state.fresh();
+    sim::TrafficConfig traffic;
+    traffic.process = sim::ArrivalProcess::Poisson;
+    traffic.ratePerSecond = rps;
+    sim::TrafficEngine engine(traffic);
+    bench_state.server->runTraffic(engine, requests, bench_state.pool,
+                                   /*k=*/5);
+}
+
 void
 printServingCurve()
 {
@@ -59,9 +72,7 @@ printServingCurve()
                   "(4096-category replica)");
     Workbench bench_state;
     for (const double rps : {500.0, 2000.0, 8000.0, 16000.0}) {
-        bench_state.fresh();
-        bench_state.server->runOpenLoop(bench_state.pool, rps,
-                                        /*requests=*/256, /*k=*/5);
+        servePoisson(bench_state, rps, /*requests=*/256);
         const sim::Percentiles &lat =
             bench_state.server->latencyPercentiles();
         bench::row("load " + std::to_string(int(rps)) + " rps: p50",
@@ -76,10 +87,8 @@ BM_OpenLoopServing(benchmark::State &state)
 {
     Workbench bench_state;
     for (auto _ : state) {
-        bench_state.fresh();
-        bench_state.server->runOpenLoop(
-            bench_state.pool,
-            static_cast<double>(state.range(0)), 64, 5);
+        servePoisson(bench_state, static_cast<double>(state.range(0)),
+                     64);
         benchmark::DoNotOptimize(
             bench_state.server->latencyPercentiles().p99());
     }

@@ -348,18 +348,6 @@ EcssdApi::requireDeployed(const char *api) const
                         "weightDeploy() first");
 }
 
-InferenceSession &
-EcssdApi::implicitSession()
-{
-    // A hot swap retires the implicit session with its epoch; the
-    // Table 1 wrappers transparently continue on the new version.
-    if (implicit_ && !resolve(implicit_->epoch_))
-        implicit_.reset();
-    if (!implicit_)
-        implicit_.reset(new InferenceSession(*this));
-    return *implicit_;
-}
-
 EcssdApi::DeployedVersion *
 EcssdApi::resolve(std::uint64_t epoch)
 {
@@ -458,13 +446,12 @@ EcssdApi::weightDeploy(const numeric::FloatMatrix &weights,
                                options_.ssd.channels);
     }
 
-    // A new deployment invalidates every outstanding session and the
-    // implicit one; the rebuilt system starts with an empty DRAM
-    // hot-row cache (the old layer's rows are gone).
+    // A new deployment invalidates every outstanding session; the
+    // rebuilt system starts with an empty DRAM hot-row cache (the old
+    // layer's rows are gone).
     version.epoch = ++epochCounter_;
     version.versionId = ++versionCounter_;
     deployEpoch_ = version.epoch;
-    implicit_.reset();
 
     // The timing system models the device side of this deployment.
     version.system = std::make_unique<EcssdSystem>(spec, options_);
@@ -536,7 +523,6 @@ EcssdApi::weightDeployStreaming(
     version.epoch = ++epochCounter_;
     version.versionId = ++versionCounter_;
     deployEpoch_ = version.epoch;
-    implicit_.reset();
 
     version.system->setDeployVersion(version.epoch,
                                      version.versionId);
@@ -1239,66 +1225,6 @@ EcssdApi::publishTenantMetrics(sim::MetricsRegistry &registry)
         api.publishRedeployMetrics(view);
         api.publishDeployMetrics(view);
     }
-}
-
-// --- Table 1 wrappers ------------------------------------------------
-
-void
-EcssdApi::int4InputSend(std::span<const float> feature)
-{
-    requireAccelerator("int4InputSend");
-    requireDeployed("int4InputSend");
-    if (implicitSession().sendInt4(feature)
-        == Status::DimensionMismatch)
-        sim::panic("feature dimension mismatch");
-}
-
-void
-EcssdApi::cfp32InputSend(std::span<const float> feature)
-{
-    requireAccelerator("cfp32InputSend");
-    requireDeployed("cfp32InputSend");
-    if (implicitSession().sendCfp32(feature)
-        == Status::DimensionMismatch)
-        sim::panic("feature dimension mismatch");
-}
-
-void
-EcssdApi::int4Screen()
-{
-    requireAccelerator("int4Screen");
-    requireDeployed("int4Screen");
-    if (!implicit_ || implicit_->screen() != Status::Ok)
-        sim::fatal("int4Screen without int4InputSend");
-}
-
-void
-EcssdApi::cfp32Classify()
-{
-    requireAccelerator("cfp32Classify");
-    requireDeployed("cfp32Classify");
-    const Status status =
-        implicit_ ? implicit_->classify() : Status::MissingInput;
-    switch (status) {
-    case Status::Ok:
-        break;
-    case Status::NotScreened:
-        sim::fatal("cfp32Classify without candidates; run "
-                   "int4Screen first");
-    default:
-        sim::fatal("cfp32Classify without cfp32InputSend");
-    }
-}
-
-xclass::ApproximateClassifier::Prediction
-EcssdApi::getResults(std::size_t k)
-{
-    requireAccelerator("getResults");
-    xclass::ApproximateClassifier::Prediction prediction;
-    if (!implicit_
-        || implicit_->results(k, prediction) != Status::Ok)
-        sim::fatal("getResults before cfp32Classify");
-    return prediction;
 }
 
 // --- SSD mode --------------------------------------------------------

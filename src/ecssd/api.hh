@@ -5,8 +5,8 @@
  * The API mirrors the paper's Python-style calls:
  *
  *   Preparation:  ecssdEnable/ecssdDisable, preAlign, weightDeploy
- *   Transmission: int4InputSend, cfp32InputSend, getResults
- *   Computation:  int4Screen, cfp32Classify, filterThreshold
+ *   Transmission: INT4_input_send, CFP32_input_send, Get_results
+ *   Computation:  INT4_screen, CFP32_classify, filterThreshold
  *
  * Calls are functional (they compute real predictions through the
  * bit-accurate datapaths) and timed (the device-side work drives the
@@ -14,10 +14,9 @@
  *
  * Query state lives in an explicit InferenceSession: beginInference()
  * hands out a session whose sendInt4 / sendCfp32 / screen / classify
- * / results calls return a Status instead of dying, so hosts can
- * probe, retry, or interleave queries.  The Table 1 free-form calls
- * remain as thin wrappers over one implicit session, preserving their
- * original fail-fast contract (sim::fatal on sequence misuse).
+ * / results calls are the Table 1 transmission and computation calls.
+ * They return a Status instead of dying, so hosts can probe, retry,
+ * or interleave queries.
  *
  * Weight versions are first-class: weightDeploy() remains the
  * stop-the-world path (every outstanding session turns stale), while
@@ -414,58 +413,6 @@ class EcssdApi
      */
     void publishTenantMetrics(sim::MetricsRegistry &registry);
 
-    // --- Transmission / Computation (Table 1 wrappers) ------------
-    //
-    // Thin delegates over one implicit session, with the original
-    // fail-fast contract: sequence misuse dies via sim::fatal, a
-    // dimension mismatch panics.  Deprecated: the implicit-session
-    // calls predate explicit sessions and tenants — migrate to
-    // `auto session = api.beginInference()` (or the TenantHandle
-    // overload) and drive sendInt4/sendCfp32/screen/classify/results
-    // on the session, which reports misuse via Status instead of
-    // dying.
-
-    /** Send the 4-bit projected input for one query (INT4_input_send).
-     *  @deprecated Use beginInference() and
-     *  InferenceSession::sendInt4(). */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::sendInt4()")]]
-    void int4InputSend(std::span<const float> feature);
-
-    /** Send the pre-aligned 32-bit input (CFP32_input_send).
-     *  @deprecated Use beginInference() and
-     *  InferenceSession::sendCfp32(). */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::sendCfp32()")]]
-    void cfp32InputSend(std::span<const float> feature);
-
-    /** Run low-precision screening + filtering (INT4_screen).
-     *  @deprecated Use beginInference() and
-     *  InferenceSession::screen(). */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::screen()")]]
-    void int4Screen();
-
-    /** Run candidate-only full-precision classification
-     *  (CFP32_classify).
-     *  @deprecated Use beginInference() and
-     *  InferenceSession::classify(). */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::classify()")]]
-    void cfp32Classify();
-
-    /**
-     * Fetch the final top-k prediction (Get_results).
-     *
-     * @param k Result count.
-     * @deprecated Use beginInference() and
-     * InferenceSession::results().
-     */
-    [[deprecated("use beginInference() and "
-                 "InferenceSession::results()")]]
-    xclass::ApproximateClassifier::Prediction getResults(
-        std::size_t k);
-
     // --- SSD mode -------------------------------------------------
 
     /** Write one logical page in SSD mode; returns completion tick. */
@@ -478,13 +425,6 @@ class EcssdApi
 
     /** Latency of the most recent full inference, in ticks. */
     sim::Tick lastInferenceLatency() const { return lastLatency_; }
-
-    /** Candidates selected by the most recent int4Screen(). */
-    std::size_t
-    lastCandidateCount() const
-    {
-        return implicit_ ? implicit_->candidateCount() : 0;
-    }
 
     /** Accelerator-mode system (valid after weightDeploy). */
     EcssdSystem &system() { return *live_.system; }
@@ -613,9 +553,6 @@ class EcssdApi
      *  the partition ledger once per weight version. */
     void syncTenantCharge(TenantHandle tenant);
 
-    /** The implicit session backing the Table 1 wrappers. */
-    InferenceSession &implicitSession();
-
     /** The version serving @p epoch: the live one, or the draining
      *  one while its drain window is open; nullptr once stale. */
     DeployedVersion *resolve(std::uint64_t epoch);
@@ -710,13 +647,6 @@ class EcssdApi
     /** Span-name prefix this engine stamps while its device-side
      *  work runs ("" for the default tenant: tracer untouched). */
     std::string spanNamespace_;
-    /**
-     * The Table 1 wrappers' session (reset on weightDeploy).
-     * Declared last: its destructor notifies sessionClosed(), which
-     * may poll the drain, so every other member must still be alive
-     * while it runs.
-     */
-    std::unique_ptr<InferenceSession> implicit_;
 };
 
 } // namespace ecssd

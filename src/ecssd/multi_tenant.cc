@@ -155,8 +155,8 @@ MultiTenantServer::run(const std::vector<TenantTraffic> &mix,
                        const std::vector<std::vector<float>> &queries,
                        std::size_t k)
 {
-    ECSSD_ASSERT(!queries.empty(),
-                 "multi-tenant serving needs a query pool");
+    if (queries.empty())
+        sim::fatal("run(): the query pool is empty");
     for (std::size_t a = 0; a < mix.size(); ++a) {
         if (!server(mix[a].tenant))
             sim::fatal("run(): mix entry ", a,

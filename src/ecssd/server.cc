@@ -1,7 +1,6 @@
 #include "server.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "numeric/kernels.hh"
@@ -246,8 +245,10 @@ InferenceServer::RequestId
 InferenceServer::enqueueAt(std::vector<float> feature,
                            sim::Tick arrival, sim::RequestClass cls)
 {
-    ECSSD_ASSERT(feature.size() == spec_.hiddenDim,
-                 "feature dimension mismatch");
+    if (feature.size() != spec_.hiddenDim)
+        sim::fatal("enqueueAt: feature dimension ", feature.size(),
+                   " does not match the served input width ",
+                   spec_.hiddenDim);
     const RequestId id = nextId_++;
 
     // Brownout Shed rung: new BestEffort arrivals (and Gold only if
@@ -405,11 +406,10 @@ InferenceServer::servingLevelFor(sim::RequestClass cls) const
     return level;
 }
 
-std::vector<InferenceServer::Response>
-InferenceServer::serveOneBatch(std::size_t k)
+void
+InferenceServer::serveOneBatch(std::size_t k,
+                               std::vector<Response> &responses)
 {
-    std::vector<Response> responses;
-
     // Form the batch, dropping requests that already missed their
     // deadline — serving a dead request burns device time that live
     // requests behind it are waiting for.
@@ -442,13 +442,14 @@ InferenceServer::serveOneBatch(std::size_t k)
             static_cast<double>(pending_.size()));
     }
     if (batch.empty())
-        return responses;
+        return;
 
-    // Functional pass: screen every query at its brownout rung and
-    // union the candidate rows the device must fetch.  Degraded
+    // Functional pass: screen every query once at its brownout rung
+    // and union the candidate rows the device must fetch.  Degraded
     // rungs shrink (ReducedCandidates) or empty (ScreenerOnly) each
     // request's contribution to the union — that is exactly the
     // flash-traffic relief the ladder buys.
+    const xclass::Screener &screener = classifier_->screener();
     std::set<std::uint64_t> union_rows;
     std::vector<xclass::ApproximateClassifier::Prediction>
         predictions;
@@ -458,11 +459,10 @@ InferenceServer::serveOneBatch(std::size_t k)
         rungs.push_back(rung);
         switch (rung) {
         case BrownoutLevel::Full: {
+            const std::vector<std::uint64_t> rows = screener.screen(
+                request.feature, xclass::FilterMode::TopRatio);
             predictions.push_back(
-                classifier_->predict(request.feature, k));
-            const std::vector<std::uint64_t> rows =
-                classifier_->screener().screen(
-                    request.feature, xclass::FilterMode::TopRatio);
+                classifier_->predictFrom(request.feature, rows, k));
             union_rows.insert(rows.begin(), rows.end());
             ++stats_.servedFull;
             break;
@@ -471,19 +471,15 @@ InferenceServer::serveOneBatch(std::size_t k)
             // Cap the usual candidate set to its top fraction by
             // screener score, then full-precision re-rank only the
             // survivors.
+            const std::vector<double> scores = screener.scores(
+                screener.prepareFeature(request.feature));
             std::vector<std::uint64_t> rows =
-                classifier_->screener().screen(
-                    request.feature, xclass::FilterMode::TopRatio);
+                screener.select(scores, xclass::FilterMode::TopRatio);
             const std::size_t budget = std::max<std::size_t>(
                 1, static_cast<std::size_t>(
                        static_cast<double>(rows.size())
                        * config_.brownout.reducedCandidateFraction));
             if (rows.size() > budget) {
-                const numeric::Int4Vector prepared =
-                    classifier_->screener().prepareFeature(
-                        request.feature);
-                const std::vector<double> scores =
-                    classifier_->screener().scores(prepared);
                 std::partial_sort(
                     rows.begin(), rows.begin() + budget, rows.end(),
                     [&scores](std::uint64_t a, std::uint64_t b) {
@@ -587,7 +583,6 @@ InferenceServer::serveOneBatch(std::size_t k)
     // requests just served, and makes the flip atomic — no request
     // is in flight across it.
     stepRedeploy();
-    return responses;
 }
 
 void
@@ -701,27 +696,40 @@ InferenceServer::batchCloseAt() const
     return close;
 }
 
-std::vector<InferenceServer::Response>
-InferenceServer::processAll(std::size_t k)
+void
+InferenceServer::flushUnserved(std::vector<Response> &responses)
 {
-    std::vector<Response> responses;
-    while (!pending_.empty()) {
-        std::vector<Response> batch = serveOneBatch(k);
-        for (Response &response : batch)
-            responses.push_back(std::move(response));
-    }
-    // An idle server finishes any in-flight swap: without traffic
-    // the background daemon keeps ticking the state machine.
-    while (redeployActive())
-        stepRedeploy();
-    // ... and recovers the brownout ladder, so every drain ends in
-    // steady state (Full, empty queue).
-    while (config_.brownout.enabled()
-           && level_ != BrownoutLevel::Full)
-        idleRecoverStep();
+    // Terminal responses produced outside a batch (admission sheds,
+    // brownout sheds) reach the caller exactly once.
     for (Response &response : unservedResponses_)
         responses.push_back(std::move(response));
     unservedResponses_.clear();
+}
+
+void
+InferenceServer::finishRun(std::vector<Response> &responses)
+{
+    // An idle server finishes any in-flight hot swap (without traffic
+    // the background daemon keeps ticking the state machine) and
+    // recovers the brownout ladder, so every run ends in steady state
+    // (Full, empty queue).
+    while (redeployActive())
+        stepRedeploy();
+    while (config_.brownout.enabled()
+           && level_ != BrownoutLevel::Full)
+        idleRecoverStep();
+    flushUnserved(responses);
+}
+
+std::vector<InferenceServer::Response>
+InferenceServer::processAll(std::size_t k)
+{
+    // Closed loop: there are no arrivals to wait for, so every batch
+    // closes as soon as it is formed.
+    std::vector<Response> responses;
+    while (!pending_.empty())
+        serveOneBatch(k, responses);
+    finishRun(responses);
     return responses;
 }
 
@@ -729,66 +737,8 @@ std::vector<InferenceServer::Response>
 InferenceServer::serveBatch(std::size_t k)
 {
     std::vector<Response> responses;
-    if (!pending_.empty()) {
-        std::vector<Response> batch = serveOneBatch(k);
-        for (Response &response : batch)
-            responses.push_back(std::move(response));
-    }
-    // Drain terminal responses produced outside the batch (admission
-    // sheds, expiry drops) so the scheduler sees every outcome once.
-    for (Response &response : unservedResponses_)
-        responses.push_back(std::move(response));
-    unservedResponses_.clear();
-    return responses;
-}
-
-std::vector<InferenceServer::Response>
-InferenceServer::runOpenLoop(
-    const std::vector<std::vector<float>> &queries,
-    double requests_per_second, unsigned request_count,
-    std::size_t k, std::uint64_t seed)
-{
-    ECSSD_ASSERT(!queries.empty(), "open loop needs a query pool");
-    ECSSD_ASSERT(requests_per_second > 0.0,
-                 "offered load must be positive");
-
-    // Pre-draw the Poisson arrival times.
-    sim::Rng rng(seed);
-    std::vector<sim::Tick> arrivals;
-    double t_seconds = sim::tickToSeconds(deviceClock_);
-    for (unsigned r = 0; r < request_count; ++r) {
-        t_seconds +=
-            -std::log(1.0 - rng.uniform()) / requests_per_second;
-        arrivals.push_back(sim::seconds(t_seconds));
-    }
-
-    std::vector<Response> responses;
-    std::size_t next_arrival = 0;
-    while (next_arrival < arrivals.size() || !pending_.empty()) {
-        // Admit everything that has arrived by the time the device
-        // goes idle; if nothing is waiting, jump to the next
-        // arrival.
-        if (pending_.empty()
-            && arrivals[next_arrival] > deviceClock_)
-            deviceClock_ = arrivals[next_arrival];
-        while (next_arrival < arrivals.size()
-               && arrivals[next_arrival] <= deviceClock_) {
-            enqueueAt(queries[next_arrival % queries.size()],
-                      arrivals[next_arrival]);
-            ++next_arrival;
-        }
-        std::vector<Response> batch = serveOneBatch(k);
-        for (Response &response : batch)
-            responses.push_back(std::move(response));
-    }
-    while (redeployActive())
-        stepRedeploy();
-    while (config_.brownout.enabled()
-           && level_ != BrownoutLevel::Full)
-        idleRecoverStep();
-    for (Response &response : unservedResponses_)
-        responses.push_back(std::move(response));
-    unservedResponses_.clear();
+    serveOneBatch(k, responses);
+    flushUnserved(responses);
     return responses;
 }
 
@@ -797,8 +747,8 @@ InferenceServer::runTraffic(
     sim::TrafficEngine &engine, std::uint64_t count,
     const std::vector<std::vector<float>> &queries, std::size_t k)
 {
-    ECSSD_ASSERT(!queries.empty(),
-                 "traffic serving needs a query pool");
+    if (queries.empty())
+        sim::fatal("runTraffic: the query pool is empty");
     std::vector<Response> responses;
     responses.reserve(count);
 
@@ -854,23 +804,9 @@ InferenceServer::runTraffic(
                     deviceClock_ = close;
             }
         }
-        if (pending_.empty())
-            continue;
-        std::vector<Response> batch = serveOneBatch(k);
-        for (Response &response : batch)
-            responses.push_back(std::move(response));
+        serveOneBatch(k, responses);
     }
-
-    // Terminal drain: finish any in-flight hot swap and recover the
-    // ladder, so the run provably ends at (Full, empty queue).
-    while (redeployActive())
-        stepRedeploy();
-    while (config_.brownout.enabled()
-           && level_ != BrownoutLevel::Full)
-        idleRecoverStep();
-    for (Response &response : unservedResponses_)
-        responses.push_back(std::move(response));
-    unservedResponses_.clear();
+    finishRun(responses);
     return responses;
 }
 

@@ -237,7 +237,8 @@ class InferenceServer
 
     /** Queue one query with an explicit arrival time.  @p cls is
      *  the priority class admission control sheds by; the Gold
-     *  default preserves the single-class behaviour. */
+     *  default preserves the single-class behaviour.  A feature of
+     *  the wrong width is fatal (sim::FatalError). */
     RequestId enqueueAt(
         std::vector<float> feature, sim::Tick arrival,
         sim::RequestClass cls = sim::RequestClass::Gold);
@@ -246,7 +247,9 @@ class InferenceServer
     std::size_t pending() const { return pending_.size(); }
 
     /**
-     * Process every pending request in device batches.
+     * Closed-loop serving: process every pending request in device
+     * batches (each batch closes as soon as it is formed), then drain
+     * like runTraffic().
      *
      * @param k Top-k size per request.
      * @return Responses in completion order (shed/dropped requests
@@ -255,26 +258,9 @@ class InferenceServer
     std::vector<Response> processAll(std::size_t k);
 
     /**
-     * Open-loop serving study: requests arrive as a Poisson process
-     * at @p requests_per_second; the device batches whatever has
-     * arrived when it goes idle (partial batches allowed).  Latency
-     * percentiles include queueing delay.
-     *
-     * @param queries Query pool to draw from (cycled).
-     * @param requests_per_second Offered load.
-     * @param request_count Total requests to serve.
-     * @param k Top-k per request.
-     * @param seed Arrival-process seed.
-     */
-    std::vector<Response> runOpenLoop(
-        const std::vector<std::vector<float>> &queries,
-        double requests_per_second, unsigned request_count,
-        std::size_t k, std::uint64_t seed = 1);
-
-    /**
-     * Open-loop serving driven by a TrafficEngine: @p count arrivals
-     * are drawn from @p engine (Poisson / diurnal / bursty, Zipf
-     * user sessions, priority classes) and served under the full
+     * Open-loop serving, the server's only arrival loop: @p count
+     * arrivals are drawn from @p engine (Poisson / diurnal / bursty,
+     * Zipf user sessions, priority classes) and served under the full
      * overload-control stack — delay-based admission, class-aware
      * shedding, deadline-slack dynamic batching, and the brownout
      * ladder.  After the stream ends the server drains: the queue
@@ -285,7 +271,7 @@ class InferenceServer
      *        seed and thread count).
      * @param count Arrivals to draw.
      * @param queries Query pool; each arrival's querySeed selects
-     *        one deterministically.
+     *        one deterministically.  An empty pool is fatal.
      * @param k Top-k per request.
      * @return One terminal Response per arrival (served, shed, or
      *         dropped — exactly once each).
@@ -355,7 +341,7 @@ class InferenceServer
      * Begin a staged hot swap to @p weights.  The swap advances one
      * state-machine step per served batch (staging chunks between
      * batches, so the IO budget yields to foreground requests) and
-     * flips at a batch boundary; processAll()/runOpenLoop() finish
+     * flips at a batch boundary; processAll()/runTraffic() finish
      * any in-flight swap after the queue empties.
      *
      * Returns RedeployActive while a swap is in flight and
@@ -513,11 +499,20 @@ class InferenceServer
     std::size_t recentCursor_ = 0;
     std::deque<PendingRequest> pending_;
     /** Terminal responses produced outside a served batch (shed at
-     *  admission, dropped at expiry); drained by processAll /
-     *  runOpenLoop. */
+     *  admission); moved out by flushUnserved(). */
     std::vector<Response> unservedResponses_;
-    /** Serve the oldest <= batchSize pending requests once. */
-    std::vector<Response> serveOneBatch(std::size_t k);
+    /** Serve the oldest <= batchSize pending requests once, appending
+     *  their responses (deadline drops first) to @p responses. */
+    void serveOneBatch(std::size_t k, std::vector<Response> &responses);
+
+    /** Move the terminal responses produced outside a batch to
+     *  @p responses. */
+    void flushUnserved(std::vector<Response> &responses);
+
+    /** The terminal drain runTraffic() and processAll() end with:
+     *  finish any in-flight swap, climb the brownout ladder back to
+     *  Full, and flush the unserved responses. */
+    void finishRun(std::vector<Response> &responses);
 
     /** Record one served-request latency/outcome when attached. */
     void recordResponse(Response::Status status, double latency_ms);

@@ -56,7 +56,8 @@ ThreadPool::drainChunks(
 
     std::lock_guard<std::mutex> lock(mutex_);
     chunksDone_ += executed;
-    if (chunksDone_ == chunkCount_)
+    --participants_;
+    if (chunksDone_ == chunkCount_ && participants_ == 0)
         done_.notify_all();
 }
 
@@ -77,6 +78,9 @@ ThreadPool::workerLoop()
                 return;
             seen_job = jobId_;
             body = body_;
+            // Joining under the mutex pins the job: the owner cannot
+            // retire it (and destroy *body) until this worker leaves.
+            ++participants_;
         }
         drainChunks(*body);
     }
@@ -117,6 +121,7 @@ ThreadPool::parallelFor(
         jobGrain_ = grain;
         chunkCount_ = chunks;
         chunksDone_ = 0;
+        participants_ = 1; // the caller
         nextChunk_.store(0, std::memory_order_relaxed);
         ++jobId_;
         jobActive_ = true;
@@ -127,7 +132,14 @@ ThreadPool::parallelFor(
     drainChunks(body);
 
     std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] { return chunksDone_ == chunkCount_; });
+    // Every chunk finished is not enough: a worker that joined the
+    // job but has not yet claimed (and failed to claim) a chunk still
+    // holds the body pointer and reads the job geometry.  Retiring
+    // the job under it would let it run the next job's chunks with
+    // this caller's destroyed body.
+    done_.wait(lock, [&] {
+        return chunksDone_ == chunkCount_ && participants_ == 0;
+    });
     // Only the owning caller retires the job, so the job fields stay
     // stable until this wait has been satisfied.
     jobActive_ = false;

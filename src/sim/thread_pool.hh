@@ -96,6 +96,9 @@ class ThreadPool
     std::size_t chunkCount_ = 0;
     std::atomic<std::size_t> nextChunk_{0};
     std::size_t chunksDone_ = 0;
+    /** Threads (caller included) that joined the current job and
+     *  have not yet left drainChunks(); the job retires only at 0. */
+    unsigned participants_ = 0;
     std::uint64_t jobId_ = 0;
     bool jobActive_ = false;
 };

@@ -169,8 +169,12 @@ Screener::screen(std::span<const float> feature, FilterMode mode) const
 {
     prepareFeatureInto(feature, preparedScratch_);
     scoresInto(preparedScratch_, scoreScratch_);
-    const std::vector<double> &s = scoreScratch_;
+    return select(scoreScratch_, mode);
+}
 
+std::vector<std::uint64_t>
+Screener::select(std::span<const double> s, FilterMode mode) const
+{
     std::vector<std::uint64_t> candidates;
     if (mode == FilterMode::Threshold) {
         for (std::size_t r = 0; r < s.size(); ++r)
@@ -181,7 +185,7 @@ Screener::screen(std::span<const float> feature, FilterMode mode) const
             1, static_cast<std::size_t>(
                    static_cast<double>(s.size())
                    * spec_.candidateRatio));
-        candidates = topKIndices(std::span<const double>(s), want);
+        candidates = topKIndices(s, want);
         std::sort(candidates.begin(), candidates.end());
     }
     return candidates;
@@ -323,20 +327,8 @@ ApproximateClassifier::predict(
     std::span<const float> feature, std::size_t k, FilterMode mode,
     CandidateClassifier::Datapath datapath) const
 {
-    Prediction prediction;
-    const std::vector<std::uint64_t> candidates =
-        screener_.screen(feature, mode);
-    prediction.candidateCount = candidates.size();
-
-    const std::vector<double> scores =
-        classifier_.scores(feature, candidates, datapath);
-    const std::vector<std::uint64_t> best =
-        topKIndices(std::span<const double>(scores), k);
-    for (const std::uint64_t local : best) {
-        prediction.topCategories.push_back(candidates[local]);
-        prediction.topScores.push_back(scores[local]);
-    }
-    return prediction;
+    return predictFrom(feature, screener_.screen(feature, mode), k,
+                       datapath);
 }
 
 ApproximateClassifier::Prediction

@@ -138,6 +138,11 @@ class Screener
     std::vector<std::uint64_t> screen(std::span<const float> feature,
                                       FilterMode mode) const;
 
+    /** The candidate selection of screen() over scores a caller
+     *  already holds (one scoring pass serves both uses). */
+    std::vector<std::uint64_t> select(std::span<const double> scores,
+                                      FilterMode mode) const;
+
     /** Hot-degree input of the interleaving framework: the L1 mass of
      *  each INT4 screener row (Section 5.3). */
     std::vector<double> rowAbsMasses() const;
@@ -247,9 +252,10 @@ class ApproximateClassifier
             CandidateClassifier::Datapath::Cfp32AlignmentFree) const;
 
     /**
-     * Full-precision top-k restricted to an explicit candidate set
-     * (the brownout ReducedCandidates path: the caller already
-     * screened — and possibly capped — the candidates).
+     * Full-precision top-k restricted to an explicit candidate set:
+     * the caller already screened (and possibly capped) the
+     * candidates, so a server that also needs the rows for the
+     * device fetch screens each query once.
      */
     Prediction predictFrom(
         std::span<const float> feature,

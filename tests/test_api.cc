@@ -1,8 +1,8 @@
 /**
  * @file
  * Table 1 API tests: mode discipline, the full inference call
- * sequence, SSD-mode commands, and the explicit InferenceSession
- * (Status-reporting) variant of the query state machine.
+ * sequence through an InferenceSession (Status-reporting query state
+ * machine), and SSD-mode commands.
  */
 
 #include <gtest/gtest.h>
@@ -58,10 +58,12 @@ TEST(EcssdApi, AcceleratorCallsRequireAcceleratorMode)
     EXPECT_THROW(api.weightDeploy(f.model.weights(), f.spec),
                  sim::FatalError);
     std::vector<float> feature(f.spec.hiddenDim, 1.0f);
-    EXPECT_THROW(api.int4InputSend(feature), sim::FatalError);
-    EXPECT_THROW(api.int4Screen(), sim::FatalError);
-    EXPECT_THROW(api.cfp32Classify(), sim::FatalError);
-    EXPECT_THROW(api.getResults(5), sim::FatalError);
+    InferenceSession session = api.beginInference();
+    xclass::ApproximateClassifier::Prediction prediction;
+    EXPECT_EQ(session.sendInt4(feature), Status::WrongMode);
+    EXPECT_EQ(session.screen(), Status::WrongMode);
+    EXPECT_EQ(session.classify(), Status::WrongMode);
+    EXPECT_EQ(session.results(5, prediction), Status::WrongMode);
 }
 
 TEST(EcssdApi, ComputeCallsRequireDeployedWeights)
@@ -70,7 +72,8 @@ TEST(EcssdApi, ComputeCallsRequireDeployedWeights)
     EcssdApi api(f.options);
     api.ecssdEnable();
     std::vector<float> feature(f.spec.hiddenDim, 1.0f);
-    EXPECT_THROW(api.int4InputSend(feature), sim::FatalError);
+    InferenceSession session = api.beginInference();
+    EXPECT_EQ(session.sendInt4(feature), Status::NotDeployed);
     EXPECT_THROW(api.filterThreshold(0.0), sim::FatalError);
 }
 
@@ -90,18 +93,20 @@ TEST(EcssdApi, FullInferenceSequence)
     api.calibrateThreshold(calibration);
 
     const std::vector<float> query = f.model.sampleQuery(rng);
-    api.int4InputSend(query);
-    api.cfp32InputSend(query);
-    api.int4Screen();
-    EXPECT_GT(api.lastCandidateCount(), 0u);
-    EXPECT_LT(api.lastCandidateCount(), f.spec.categories);
-    api.cfp32Classify();
+    InferenceSession session = api.beginInference();
+    ASSERT_EQ(session.sendInt4(query), Status::Ok);
+    ASSERT_EQ(session.sendCfp32(query), Status::Ok);
+    ASSERT_EQ(session.screen(), Status::Ok);
+    EXPECT_GT(session.candidateCount(), 0u);
+    EXPECT_LT(session.candidateCount(), f.spec.categories);
+    ASSERT_EQ(session.classify(), Status::Ok);
     EXPECT_GT(api.lastInferenceLatency(), 0u);
+    EXPECT_EQ(api.lastInferenceLatency(), session.latency());
 
-    const auto prediction = api.getResults(5);
+    xclass::ApproximateClassifier::Prediction prediction;
+    ASSERT_EQ(session.results(5, prediction), Status::Ok);
     EXPECT_EQ(prediction.topCategories.size(), 5u);
-    EXPECT_EQ(prediction.candidateCount,
-              api.lastCandidateCount());
+    EXPECT_EQ(prediction.candidateCount, session.candidateCount());
     // Scores are sorted descending.
     for (std::size_t i = 1; i < prediction.topScores.size(); ++i)
         EXPECT_GE(prediction.topScores[i - 1],
@@ -117,12 +122,14 @@ TEST(EcssdApi, PredictionMatchesDirectClassifier)
 
     sim::Rng rng(3);
     const std::vector<float> query = f.model.sampleQuery(rng);
-    api.int4InputSend(query);
-    api.cfp32InputSend(query);
     api.filterThreshold(-1e30); // pass everything: exact top-k
-    api.int4Screen();
-    api.cfp32Classify();
-    const auto api_pred = api.getResults(3);
+    InferenceSession session = api.beginInference();
+    ASSERT_EQ(session.sendInt4(query), Status::Ok);
+    ASSERT_EQ(session.sendCfp32(query), Status::Ok);
+    ASSERT_EQ(session.screen(), Status::Ok);
+    ASSERT_EQ(session.classify(), Status::Ok);
+    xclass::ApproximateClassifier::Prediction api_pred;
+    ASSERT_EQ(session.results(3, api_pred), Status::Ok);
 
     const xclass::ApproximateClassifier reference(
         f.model.weights(), f.spec, f.options.seed);
@@ -130,22 +137,6 @@ TEST(EcssdApi, PredictionMatchesDirectClassifier)
     EXPECT_GE(xclass::recall(exact.topCategories,
                              api_pred.topCategories),
               0.66);
-}
-
-TEST(EcssdApi, OutOfOrderCallsAreFatal)
-{
-    ApiFixture f;
-    EcssdApi api(f.options);
-    api.ecssdEnable();
-    api.weightDeploy(f.model.weights(), f.spec);
-    EXPECT_THROW(api.int4Screen(), sim::FatalError);
-
-    sim::Rng rng(4);
-    const std::vector<float> query = f.model.sampleQuery(rng);
-    api.int4InputSend(query);
-    EXPECT_THROW(api.cfp32Classify(), sim::FatalError);
-    api.cfp32InputSend(query);
-    EXPECT_THROW(api.getResults(1), sim::FatalError);
 }
 
 TEST(EcssdApi, SsdModeReadWrite)
@@ -175,19 +166,9 @@ TEST(EcssdApi, PreAlignIsTheHostPrimitive)
     EXPECT_FLOAT_EQ(aligned.toFloat(0), 1.0f);
 }
 
-TEST(EcssdApi, DimensionMismatchPanics)
-{
-    ApiFixture f;
-    EcssdApi api(f.options);
-    api.ecssdEnable();
-    api.weightDeploy(f.model.weights(), f.spec);
-    std::vector<float> wrong(f.spec.hiddenDim + 1, 1.0f);
-    EXPECT_THROW(api.int4InputSend(wrong), sim::PanicError);
-}
-
 TEST(EcssdApi, NewQueryDropsPreviousCandidates)
 {
-    // Regression: lastCandidateCount() used to keep serving the
+    // Regression: the candidate count used to keep serving the
     // previous query's count after a new input was sent.
     ApiFixture f;
     EcssdApi api(f.options);
@@ -195,17 +176,19 @@ TEST(EcssdApi, NewQueryDropsPreviousCandidates)
     api.weightDeploy(f.model.weights(), f.spec);
 
     sim::Rng rng(5);
+    InferenceSession session = api.beginInference();
     const std::vector<float> first = f.model.sampleQuery(rng);
-    api.int4InputSend(first);
-    api.int4Screen();
-    EXPECT_GT(api.lastCandidateCount(), 0u);
+    ASSERT_EQ(session.sendInt4(first), Status::Ok);
+    ASSERT_EQ(session.sendCfp32(first), Status::Ok);
+    ASSERT_EQ(session.screen(), Status::Ok);
+    EXPECT_GT(session.candidateCount(), 0u);
 
     const std::vector<float> second = f.model.sampleQuery(rng);
-    api.int4InputSend(second);
-    EXPECT_EQ(api.lastCandidateCount(), 0u);
-    EXPECT_THROW(api.cfp32Classify(), sim::FatalError);
-    api.int4Screen();
-    EXPECT_GT(api.lastCandidateCount(), 0u);
+    ASSERT_EQ(session.sendInt4(second), Status::Ok);
+    EXPECT_EQ(session.candidateCount(), 0u);
+    EXPECT_EQ(session.classify(), Status::NotScreened);
+    ASSERT_EQ(session.screen(), Status::Ok);
+    EXPECT_GT(session.candidateCount(), 0u);
 }
 
 // --- InferenceSession --------------------------------------------------
@@ -267,6 +250,7 @@ TEST(InferenceSession, SequenceMisuseReturnsStatusNotDeath)
 
     std::vector<float> wrong(f.spec.hiddenDim + 1, 1.0f);
     EXPECT_EQ(session.sendInt4(wrong), Status::DimensionMismatch);
+    EXPECT_EQ(session.sendCfp32(wrong), Status::DimensionMismatch);
 
     EXPECT_EQ(session.sendInt4(query), Status::Ok);
     EXPECT_EQ(session.sendCfp32(query), Status::Ok);

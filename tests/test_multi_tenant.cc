@@ -222,6 +222,19 @@ TEST(MultiTenantServer, RunRejectsUnknownAndDuplicateMixEntries)
     EXPECT_THROW(mt.run(duplicate, queries, 5), sim::FatalError);
 }
 
+TEST(MultiTenantServer, RunRejectsAnEmptyQueryPool)
+{
+    MtFixture f;
+    MultiTenantServer mt(f.options);
+    TenantHandle a =
+        mt.addTenant(MtFixture::tenant("a"), f.model.weights(),
+                     f.spec, ServerConfig{}, &f.model.basis());
+    std::vector<MultiTenantServer::TenantTraffic> mix = {
+        {a, poisson(1000.0, 1), 8},
+    };
+    EXPECT_THROW(mt.run(mix, {}, 5), sim::FatalError);
+}
+
 TEST(MultiTenantServer, OverloadedTenantDegradesItselfFirst)
 {
     MtFixture f;

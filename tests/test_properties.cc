@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "ecssd/system.hh"
@@ -24,10 +26,25 @@ specOf(const std::string &name, std::uint64_t cap = 32768)
 
 } // namespace
 
-/** Sweep benchmarks x layout strategies. */
+namespace ecssd::layout
+{
+
+/** Print layout cases by name in test names. */
+void
+PrintTo(LayoutKind kind, std::ostream *os)
+{
+    *os << toString(kind);
+}
+
+} // namespace ecssd::layout
+
+/**
+ * Sweep benchmarks x layout strategies. Benchmark names are strings,
+ * not literals, so test names show the name and not its address.
+ */
 class PipelineInvariants
     : public ::testing::TestWithParam<
-          std::tuple<const char *, layout::LayoutKind>>
+          std::tuple<std::string, layout::LayoutKind>>
 {
 };
 
@@ -72,8 +89,10 @@ TEST_P(PipelineInvariants, HoldAcrossConfigurations)
 INSTANTIATE_TEST_SUITE_P(
     BenchmarksAndLayouts, PipelineInvariants,
     ::testing::Combine(
-        ::testing::Values("GNMT-E32K", "LSTM-W33K",
-                          "Transformer-W268K", "XMLCNN-S10M"),
+        ::testing::Values(std::string("GNMT-E32K"),
+                          std::string("LSTM-W33K"),
+                          std::string("Transformer-W268K"),
+                          std::string("XMLCNN-S10M")),
         ::testing::Values(layout::LayoutKind::Sequential,
                           layout::LayoutKind::Uniform,
                           layout::LayoutKind::LearningAdaptive)));

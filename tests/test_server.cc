@@ -39,6 +39,19 @@ struct ServerFixture
     InferenceServer server;
 };
 
+/** Serve @p requests Poisson arrivals at @p rps through runTraffic. */
+std::vector<InferenceServer::Response>
+servePoisson(InferenceServer &server,
+             const std::vector<std::vector<float>> &pool, double rps,
+             std::uint64_t requests, std::size_t k)
+{
+    sim::TrafficConfig traffic;
+    traffic.process = sim::ArrivalProcess::Poisson;
+    traffic.ratePerSecond = rps;
+    sim::TrafficEngine engine(traffic);
+    return server.runTraffic(engine, requests, pool, k);
+}
+
 } // namespace
 
 TEST(InferenceServer, RequestIdsAreUniqueAndOrdered)
@@ -110,7 +123,7 @@ TEST(InferenceServer, WrongDimensionPanics)
 {
     ServerFixture f;
     std::vector<float> wrong(f.spec.hiddenDim + 1, 1.0f);
-    EXPECT_THROW(f.server.enqueue(wrong), sim::PanicError);
+    EXPECT_THROW(f.server.enqueue(wrong), sim::FatalError);
 }
 
 TEST(InferenceServer, EmptyProcessAllIsNoop)
@@ -127,9 +140,8 @@ TEST(InferenceServer, OpenLoopServesEverything)
     std::vector<std::vector<float>> pool;
     for (int q = 0; q < 8; ++q)
         pool.push_back(f.model.sampleQuery(rng));
-    const auto responses =
-        f.server.runOpenLoop(pool, /*rps=*/2000.0,
-                             /*requests=*/40, /*k=*/3);
+    const auto responses = servePoisson(f.server, pool, /*rps=*/2000.0,
+                                        /*requests=*/40, /*k=*/3);
     EXPECT_EQ(responses.size(), 40u);
     EXPECT_EQ(f.server.pending(), 0u);
     EXPECT_EQ(f.server.latencyPercentiles().count(), 40u);
@@ -145,7 +157,7 @@ TEST(InferenceServer, HigherLoadRaisesTailLatency)
         std::vector<std::vector<float>> pool;
         for (int q = 0; q < 8; ++q)
             pool.push_back(f.model.sampleQuery(rng));
-        f.server.runOpenLoop(pool, rps, 60, 3);
+        servePoisson(f.server, pool, rps, 60, 3);
         return f.server.latencyPercentiles().p99();
     };
     const double light = tail(100.0);
@@ -162,7 +174,7 @@ TEST(InferenceServer, LightLoadServesSingles)
     std::vector<std::vector<float>> pool;
     for (int q = 0; q < 4; ++q)
         pool.push_back(f.model.sampleQuery(rng));
-    f.server.runOpenLoop(pool, /*rps=*/1.0, /*requests=*/10, 3);
+    servePoisson(f.server, pool, /*rps=*/1.0, /*requests=*/10, 3);
     const double spread = f.server.latencyPercentiles().p99()
         - f.server.latencyPercentiles().quantile(0.05);
     EXPECT_LT(spread,
@@ -345,10 +357,10 @@ TEST(InferenceServer, OpenLoopRejectsBadArguments)
 {
     ServerFixture f;
     std::vector<std::vector<float>> empty;
-    EXPECT_THROW(f.server.runOpenLoop(empty, 10.0, 1, 1),
-                 sim::PanicError);
+    EXPECT_THROW(servePoisson(f.server, empty, 10.0, 1, 1),
+                 sim::FatalError);
     std::vector<std::vector<float>> pool{
         std::vector<float>(f.spec.hiddenDim, 1.0f)};
-    EXPECT_THROW(f.server.runOpenLoop(pool, 0.0, 1, 1),
-                 sim::PanicError);
+    EXPECT_THROW(servePoisson(f.server, pool, 0.0, 1, 1),
+                 sim::FatalError);
 }

@@ -198,11 +198,14 @@ TEST(StreamingDeploy, ApiStreamingDeployServesLikeClassic)
     const auto predict = [&](EcssdApi &api) {
         sim::Rng rng(9);
         const std::vector<float> query = model.sampleQuery(rng);
-        api.int4InputSend(query);
-        api.cfp32InputSend(query);
-        api.int4Screen();
-        api.cfp32Classify();
-        return api.getResults(5);
+        InferenceSession session = api.beginInference();
+        EXPECT_EQ(session.sendInt4(query), Status::Ok);
+        EXPECT_EQ(session.sendCfp32(query), Status::Ok);
+        EXPECT_EQ(session.screen(), Status::Ok);
+        EXPECT_EQ(session.classify(), Status::Ok);
+        xclass::ApproximateClassifier::Prediction prediction;
+        EXPECT_EQ(session.results(5, prediction), Status::Ok);
+        return prediction;
     };
 
     EcssdApi classic(options);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <utility>
@@ -189,5 +190,46 @@ TEST(ThreadPool, ManySequentialJobsReuseThePool)
     std::uint64_t expected = 0;
     for (unsigned job = 0; job < 200; ++job)
         expected += 256 * 257 / 2 + 257 * std::uint64_t{job};
+    EXPECT_EQ(total, expected);
+}
+
+namespace
+{
+
+/**
+ * One two-chunk job whose body lives only in this call frame.  The
+ * slot count gives each instantiation a differently shaped frame, so
+ * alternating them reuses a finished job's stack slots for something
+ * else: a worker that kept a retired job's body pointer then calls
+ * garbage instead of a still-intact copy.
+ */
+template <std::size_t Slots>
+[[gnu::noinline]] std::uint64_t
+frameJob(ThreadPool &pool, std::uint64_t job)
+{
+    std::uint64_t out[Slots] = {};
+    pool.parallelFor(0, 2, 1, [&](std::size_t b, std::size_t) {
+        out[b] = job + b;
+    });
+    return std::accumulate(std::begin(out), std::end(out),
+                           std::uint64_t{0});
+}
+
+} // namespace
+
+TEST(ThreadPool, RetiredJobIsNeverRunByALateWorker)
+{
+    // Regression: a worker that read the job's body pointer but was
+    // delayed before claiming a chunk could claim a chunk of the
+    // *next* job and run the previous caller's destroyed body.  Many
+    // tiny jobs from alternating frames make that window likely.
+    ThreadPool pool(4);
+    std::uint64_t total = 0;
+    std::uint64_t expected = 0;
+    for (std::uint64_t job = 0; job < 150000; ++job) {
+        total += frameJob<2>(pool, job);
+        total += frameJob<12>(pool, job);
+        expected += 2 * (2 * job + 1);
+    }
     EXPECT_EQ(total, expected);
 }
