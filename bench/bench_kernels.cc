@@ -2,9 +2,9 @@
  * @file
  * Host-compute kernel benchmarks: scalar nibble-at-a-time screener
  * scoring vs the byte-wise LUT kernel at every runtime-dispatched
- * ISA level (scalar LUT / vector-extension / AVX2 / AVX-512), plus
- * the thread-pooled and query-batched paths, at the paper's
- * screening scale (268K categories x K=64).
+ * ISA level (scalar LUT / AVX2 / AVX-512), plus the thread-pooled
+ * and query-batched paths, at the paper's screening scale (268K
+ * categories x K=64).
  *
  *   bench_kernels [google-benchmark flags] [--out DIR]
  *
@@ -12,13 +12,14 @@
  * same kernels with a best-of-N wall-clock loop and writes
  * BENCH_kernels.json into DIR: absolute per-pass times, rows/s, and
  * the speedups over both the nibble-wise scalar reference and the
- * scalar LUT, one entry per (kernel, ISA level) with the tuned row
- * chunk, query tile, and pool threads recorded alongside.  Unlike
- * BENCH_e2e/BENCH_breakdown these numbers are *wall clock* — they are
- * uploaded for trend inspection, never diffed as a CI gate.  Every
- * measured pass is first checked byte-identical against the scalar
- * reference; a divergence aborts the run instead of recording a
- * speedup for wrong results.
+ * scalar LUT, one entry per (kernel, ISA level) with the planned row
+ * chunk, query tile, and pool threads recorded alongside, and the
+ * host's hardware thread count in the config (the pool never runs
+ * more threads than that).  Unlike BENCH_e2e/BENCH_breakdown these
+ * numbers are *wall clock* — they are uploaded for trend inspection,
+ * never diffed as a CI gate.  Every measured pass is first checked
+ * byte-identical against the scalar reference; a divergence aborts
+ * the run instead of recording a speedup for wrong results.
  */
 
 #include <benchmark/benchmark.h>
@@ -28,6 +29,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "numeric/autotune.hh"
@@ -50,6 +52,21 @@ constexpr std::size_t kRows = 268000;
 constexpr std::size_t kCols = 64;
 constexpr unsigned kPoolThreads = 8;
 constexpr std::size_t kBatchQueries = 8;
+
+/** Host hardware threads (at least 1). */
+unsigned
+hardwareThreads()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/** kPoolThreads clamped to the host, so an oversubscribed pool does
+ *  not pass for a slow kernel. */
+unsigned
+poolThreads()
+{
+    return std::min(kPoolThreads, hardwareThreads());
+}
 
 /** Shared benchmark inputs, built once. */
 struct Inputs
@@ -82,14 +99,11 @@ inputs()
     return shared;
 }
 
-/** The tuned row chunk for this shape (pure function of shape/ISA,
- *  so computing it once for the scalar level is fine). */
+/** The screener's row chunk for this shape (independent of ISA). */
 std::size_t
-tunedRowChunk()
+rowChunk()
 {
-    static const std::size_t chunk =
-        rowChunkCandidates(inputs().matrix.bytesPerRow()).back();
-    return chunk;
+    return screenerRowChunk(inputs().matrix.bytesPerRow());
 }
 
 /** One full scalar scoring pass (the pre-LUT reference path). */
@@ -113,7 +127,7 @@ void
 pooledPass(const Inputs &in, IsaLevel isa, sim::ThreadPool &pool,
            std::vector<double> &out)
 {
-    pool.parallelFor(0, kRows, tunedRowChunk(),
+    pool.parallelFor(0, kRows, rowChunk(),
                      [&](std::size_t b, std::size_t e) {
                          in.matrix.dotRowsLut(b, e, in.widened,
                                               in.feature.scale,
@@ -182,7 +196,7 @@ void
 BM_ScreenerLutPooled(benchmark::State &state, IsaLevel isa)
 {
     const Inputs &in = inputs();
-    sim::ThreadPool pool(kPoolThreads);
+    sim::ThreadPool pool(poolThreads());
     std::vector<double> out(kRows);
     for (auto _ : state) {
         pooledPass(in, isa, pool, out);
@@ -217,11 +231,14 @@ registerIsaBenchmarks()
             [isa](benchmark::State &state) {
                 BM_ScreenerLut(state, isa);
             });
+        // Real time: the pool's work runs off the main thread, whose
+        // CPU time alone would overstate the throughput.
         benchmark::RegisterBenchmark(
             ("BM_ScreenerLutPooled/" + suffix).c_str(),
             [isa](benchmark::State &state) {
                 BM_ScreenerLutPooled(state, isa);
-            });
+            })
+            ->UseRealTime();
         benchmark::RegisterBenchmark(
             ("BM_ScreenerBatchLut/" + suffix).c_str(),
             [isa](benchmark::State &state) {
@@ -266,7 +283,7 @@ writeBaseline(const std::string &out_dir)
 {
     const Inputs &in = inputs();
     const BatchInputs batch(in);
-    sim::ThreadPool pool(kPoolThreads);
+    sim::ThreadPool pool(poolThreads());
     std::vector<double> reference(kRows);
     std::vector<double> out(kRows);
     std::vector<double> batch_out(kBatchQueries * kRows);
@@ -307,7 +324,7 @@ writeBaseline(const std::string &out_dir)
         Entry lut;
         lut.name = "lut_1t";
         lut.isa = level;
-        lut.rowChunk = tunedRowChunk();
+        lut.rowChunk = rowChunk();
         lut.wallMs = bestMs(kRepeats, [&] { lutPass(in, isa, out); });
         lut.rowsPerPass = static_cast<double>(kRows);
         entries.push_back(lut);
@@ -319,8 +336,8 @@ writeBaseline(const std::string &out_dir)
         Entry pooled;
         pooled.name = "lut_pooled";
         pooled.isa = level;
-        pooled.rowChunk = tunedRowChunk();
-        pooled.poolThreads = kPoolThreads;
+        pooled.rowChunk = rowChunk();
+        pooled.poolThreads = poolThreads();
         pooled.wallMs = bestMs(
             kRepeats, [&] { pooledPass(in, isa, pool, out); });
         pooled.rowsPerPass = static_cast<double>(kRows);
@@ -336,7 +353,7 @@ writeBaseline(const std::string &out_dir)
         Entry batched;
         batched.name = "batch_1t";
         batched.isa = level;
-        batched.rowChunk = tunedRowChunk();
+        batched.rowChunk = rowChunk();
         batched.queryTile = Int4Matrix::kDefaultQueryTile;
         batched.wallMs = bestMs(
             kRepeats, [&] { batchPass(in, batch, isa, batch_out); });
@@ -357,8 +374,10 @@ writeBaseline(const std::string &out_dir)
     json.value(static_cast<std::uint64_t>(kRows));
     json.key("cols");
     json.value(static_cast<std::uint64_t>(kCols));
+    json.key("hardware_concurrency");
+    json.value(static_cast<std::uint64_t>(hardwareThreads()));
     json.key("pool_threads");
-    json.value(static_cast<std::uint64_t>(kPoolThreads));
+    json.value(static_cast<std::uint64_t>(poolThreads()));
     json.key("batch_queries");
     json.value(static_cast<std::uint64_t>(kBatchQueries));
     json.key("best_isa");

@@ -13,7 +13,6 @@
 #ifndef ECSSD_ACCEL_ACCEL_CONFIG_HH
 #define ECSSD_ACCEL_ACCEL_CONFIG_HH
 
-#include <string>
 
 #include "accel/row_cache.hh"
 #include "circuit/accelerator_model.hh"
@@ -95,15 +94,6 @@ struct AccelConfig
      * value, and simulated time never depends on it.
      */
     unsigned threads = 1;
-    /**
-     * Host-compute ISA request for the functional tier
-     * ("auto"/"scalar"/"vector"/"avx2"/"avx512"; see
-     * numeric/kernels.hh).  Like threads, purely a host wall-clock
-     * knob: every level is bit-identical and the simulated pipeline
-     * timing never depends on it — the modeled device has its own
-     * fixed MAC arrays regardless of what the host runs.
-     */
-    std::string hostIsa = "auto";
 
     /** Table 2 staging buffer sizes (bytes). */
     std::uint64_t int4WeightBufferBytes = 128 * 1024;

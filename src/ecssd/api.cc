@@ -1000,9 +1000,6 @@ EcssdApi::publishKernelMetrics(sim::MetricsRegistry &registry)
                       static_cast<double>(plan.rowChunk));
     registry.gaugeSet("kernel.query_tile",
                       static_cast<double>(plan.queryTile));
-    registry.gaugeSet("kernel.ns_per_row", plan.nsPerRow);
-    registry.gaugeSet("kernel.candidates",
-                      static_cast<double>(plan.candidates.size()));
 }
 
 // --- Tenants ---------------------------------------------------------

@@ -456,12 +456,12 @@ class EcssdApi
     void publishDeployMetrics(sim::MetricsRegistry &registry);
 
     /**
-     * Snapshot the live screener's tuned kernel plan ("kernel.*"
-     * gauges: ISA level, row chunk, query tile, measured ns/row)
-     * into @p registry; no-op before the first weightDeploy().
-     * Explicit — never part of publishMetrics() — because the
-     * ns/row gauge is wall-clock and would break byte-identical
-     * metric goldens across machines and ISA levels.
+     * Snapshot the live screener's kernel plan ("kernel.*" gauges:
+     * ISA level, shape, row chunk, query tile) into @p registry;
+     * no-op before the first weightDeploy().  Explicit — never part
+     * of publishMetrics() — because the ISA level and query tile
+     * depend on the host CPU and would break byte-identical metric
+     * goldens across machines and ISA levels.
      */
     void publishKernelMetrics(sim::MetricsRegistry &registry);
 

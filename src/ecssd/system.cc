@@ -194,7 +194,6 @@ EcssdSystem::EcssdSystem(const xclass::BenchmarkSpec &spec,
     accel_config.weightPrecision = options.weightPrecision;
     accel_config.degradedPolicy = options.degradedPolicy;
     accel_config.threads = options.threads;
-    accel_config.hostIsa = options.isa;
     accel_config.cache = options.cache;
     pipeline_ = std::make_unique<accel::InferencePipeline>(
         spec_, accel_config, *ssd_, *strategy_,

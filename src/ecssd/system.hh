@@ -91,10 +91,11 @@ struct EcssdOptions
      */
     unsigned threads = 1;
     /**
-     * Host-compute ISA request ("auto", "scalar", "vector", "avx2",
+     * Host-compute ISA request ("auto", "scalar", "avx2",
      * "avx512").  Applied process-wide when the system is built; the
      * ECSSD_ISA environment variable, when set, wins over this field
-     * (so goldens can be replayed pinned).  Wall-clock only: every
+     * (so goldens can be replayed pinned), and any other name is
+     * rejected by validate().  Wall-clock only: every
      * level computes bit-identical results (numeric/kernels.hh), and
      * simulated device time never depends on it.
      */

@@ -1,82 +1,28 @@
 #include "autotune.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "numeric/int4.hh"
-#include "sim/logging.hh"
 
 namespace ecssd
 {
 namespace numeric
 {
 
-namespace
+std::size_t
+screenerRowChunk(std::size_t bytes_per_row)
 {
-
-/**
- * Packed bytes one parallel chunk should keep resident: half a
- * typical 512KB-1MB L2 so the widened feature, outputs, and the
- * other hyperthread still fit.
- */
-constexpr std::size_t kChunkByteBudget = 256 * 1024;
-
-constexpr std::size_t kMinRowChunk = 512;
-constexpr std::size_t kMaxRowChunk = 4096;
-
-/** Rows to time per candidate: enough to steady the pipeline,
- *  bounded so deploy-time tuning stays sub-millisecond. */
-constexpr std::size_t kMeasureRows = 2048;
-
-double
-measureNsPerRow(const Int4Matrix &matrix, IsaLevel isa,
-                std::size_t chunk)
-{
-    const std::size_t rows = std::min(matrix.rows(), kMeasureRows);
-    if (rows == 0)
-        return 0.0;
-    // A mid-scale widened feature: alternating +-3 nibbles.
-    std::vector<float> feature(matrix.cols());
-    for (std::size_t c = 0; c < feature.size(); ++c)
-        feature[c] = (c % 2 == 0) ? 3.0f : -3.0f;
-    const Int4Vector quantized = quantizeVector(feature);
-    std::vector<std::int16_t> widened;
-    matrix.widenFeature(quantized, widened);
-    std::vector<double> out(rows);
-
-    const auto begin = std::chrono::steady_clock::now();
-    for (std::size_t r0 = 0; r0 < rows; r0 += chunk) {
-        const std::size_t r1 = std::min(rows, r0 + chunk);
-        matrix.dotRowsLut(r0, r1,
-                          std::span<const std::int16_t>(widened),
-                          quantized.scale, out.data() + r0, isa);
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end
-                                                             - begin)
-            .count());
-    return ns / static_cast<double>(rows);
-}
-
-} // namespace
-
-std::vector<std::size_t>
-rowChunkCandidates(std::size_t bytes_per_row)
-{
-    // Powers of two whose packed bytes stay within the chunk budget,
-    // clamped to [kMinRowChunk, kMaxRowChunk]; always at least the
-    // minimum so degenerate shapes still get a plan.
-    std::vector<std::size_t> candidates;
-    for (std::size_t chunk = kMinRowChunk; chunk <= kMaxRowChunk;
-         chunk *= 2) {
-        if (chunk > kMinRowChunk
-            && chunk * std::max<std::size_t>(1, bytes_per_row)
-                > kChunkByteBudget)
-            break;
-        candidates.push_back(chunk);
-    }
-    return candidates;
+    // Packed bytes one parallel chunk should keep resident: half a
+    // typical 512KB-1MB L2 so the widened feature, outputs, and the
+    // other hyperthread still fit.
+    constexpr std::size_t kChunkByteBudget = 256 * 1024;
+    constexpr std::size_t kMaxRowChunk = 4096;
+    const std::size_t row_bytes = std::max<std::size_t>(1, bytes_per_row);
+    std::size_t chunk = 512;
+    while (chunk * 2 <= kMaxRowChunk
+           && chunk * 2 * row_bytes <= kChunkByteBudget)
+        chunk *= 2;
+    return chunk;
 }
 
 std::size_t
@@ -90,11 +36,11 @@ batchQueryTile(std::size_t rows, std::size_t bytes_per_row,
 
     // Register budget: the batch kernel keeps one accumulator per
     // query plus the decoded row live, so AVX-512's 32 zmm afford a
-    // 16-wide tile while AVX2's 16 ymm top out at 8.  The portable
-    // levels run a per-query loop (no register tiling); they keep
-    // the 8-wide blocking for feature locality.
+    // 16-wide tile while AVX2's 16 ymm top out at 8.  The scalar
+    // level runs a per-query loop (no register tiling); it keeps the
+    // 8-wide blocking for feature locality.
     const std::size_t register_cap =
-        isa == IsaLevel::Avx512 ? 16 : 8;
+        isa == IsaLevel::Avx512 ? kMaxQueryTile : 8;
 
     // L1 share: each query contributes a widened feature of
     // 2 * bytes_per_row int16 values (4 * bytes_per_row bytes), and
@@ -113,39 +59,15 @@ batchQueryTile(std::size_t rows, std::size_t bytes_per_row,
 }
 
 KernelPlan
-autotuneScreenerKernels(const Int4Matrix &matrix, IsaLevel isa,
-                        bool measure)
+planScreenerKernels(const Int4Matrix &matrix, IsaLevel isa)
 {
     KernelPlan plan;
     plan.isa = isa;
     plan.rows = matrix.rows();
     plan.cols = matrix.cols();
     plan.bytesPerRow = matrix.bytesPerRow();
-
-    // Closed-form selection — a pure function of (shape, ISA), so
-    // the same deploy always runs the same plan on every machine:
-    //  * rowChunk: the largest candidate (deepest L2 tile) — fewer
-    //    dispatches while the packed chunk still fits the budget.
-    //  * queryTile: the shape heuristic above (register file vs the
-    //    widened-feature L1 share).
-    const std::vector<std::size_t> candidates =
-        rowChunkCandidates(plan.bytesPerRow);
-    ECSSD_ASSERT(!candidates.empty(), "no row-chunk candidates");
-    plan.rowChunk = candidates.back();
-    plan.queryTile =
-        batchQueryTile(plan.rows, plan.bytesPerRow, isa);
-
-    for (const std::size_t chunk : candidates) {
-        KernelCandidate candidate;
-        candidate.rowChunk = chunk;
-        candidate.selected = chunk == plan.rowChunk;
-        if (measure && plan.rows > 0)
-            candidate.nsPerRow = measureNsPerRow(matrix, isa, chunk);
-        if (candidate.selected)
-            plan.nsPerRow = candidate.nsPerRow;
-        plan.candidates.push_back(candidate);
-    }
-    plan.measured = measure && plan.rows > 0;
+    plan.rowChunk = screenerRowChunk(plan.bytesPerRow);
+    plan.queryTile = batchQueryTile(plan.rows, plan.bytesPerRow, isa);
     return plan;
 }
 

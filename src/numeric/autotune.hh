@@ -1,17 +1,15 @@
 /**
  * @file
- * Deterministic kernel autotuner for the INT4 screener.
+ * Closed-form kernel plan for the INT4 screener.
  *
  * At deploy time the screener asks for a KernelPlan: which ISA level
  * to run, how many rows one parallel chunk should cover (the L2
  * tiling of the packed matrix), and how many queries the batch
  * kernel blocks together (the register tiling).
  *
- * Selection is a pure function of (matrix shape, ISA level): the
- * candidate chunk sizes ARE benchmarked, but only to report ns/row
- * in the plan and the metrics dump — wall-clock never feeds back
- * into the choice, so the same shape always yields the same plan and
- * golden runs stay reproducible on any machine (see
+ * The plan is a pure function of (matrix shape, ISA level) with no
+ * timing pass, so the same shape always yields the same plan on
+ * every machine and golden runs stay reproducible (see
  * docs/MODELING.md §14).
  */
 
@@ -19,7 +17,6 @@
 #define ECSSD_NUMERIC_AUTOTUNE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "numeric/kernels.hh"
 
@@ -30,20 +27,11 @@ namespace numeric
 
 class Int4Matrix;
 
-/** One benchmarked row-chunk candidate (observability only). */
-struct KernelCandidate
-{
-    std::size_t rowChunk = 0;
-    /** Measured single-thread ns per row, 0 when not measured. */
-    double nsPerRow = 0.0;
-    bool selected = false;
-};
-
-/** The screener's tuned kernel configuration. */
+/** The screener's kernel configuration. */
 struct KernelPlan
 {
     IsaLevel isa = IsaLevel::Scalar;
-    /** Matrix shape the plan was tuned for. */
+    /** Matrix shape the plan was made for. */
     std::size_t rows = 0;
     std::size_t cols = 0;
     std::size_t bytesPerRow = 0;
@@ -51,34 +39,26 @@ struct KernelPlan
     std::size_t rowChunk = 0;
     /** Queries the batch kernel blocks per decoded row. */
     std::size_t queryTile = 0;
-    /** Measured ns/row of the selected chunk (0 if unmeasured). */
-    double nsPerRow = 0.0;
-    /** True when the candidate timings below were taken. */
-    bool measured = false;
-    std::vector<KernelCandidate> candidates;
 };
 
-/** Candidate row-chunk sizes for @p bytes_per_row (deterministic). */
-std::vector<std::size_t>
-rowChunkCandidates(std::size_t bytes_per_row);
+/**
+ * Rows per parallel chunk for @p bytes_per_row: the largest power of
+ * two in [512, 4096] whose packed bytes fit a 256 KiB L2 share, and
+ * 512 when not even that fits.
+ */
+std::size_t screenerRowChunk(std::size_t bytes_per_row);
 
 /**
  * Closed-form batch query tile for a (rows, bytes_per_row) screener
- * shape at @p isa — a pure function of (shape, ISA) like the rest of
- * the plan (docs/MODELING.md §14).  Power of two in [1, 16]: the
- * narrower of the level's accumulator-register budget and the number
- * of widened query features that fit the per-tile L1 share.
+ * shape at @p isa.  Power of two in [1, kMaxQueryTile]: the narrower
+ * of the level's accumulator-register budget and the number of
+ * widened query features that fit the per-tile L1 share.
  */
 std::size_t batchQueryTile(std::size_t rows,
                            std::size_t bytes_per_row, IsaLevel isa);
 
-/**
- * Tune the screener kernels for @p matrix at @p isa.  With
- * @p measure, each candidate chunk is timed over a bounded row
- * sample (recorded in the plan; never used for selection).
- */
-KernelPlan autotuneScreenerKernels(const Int4Matrix &matrix,
-                                   IsaLevel isa, bool measure);
+/** The kernel plan for @p matrix at @p isa. */
+KernelPlan planScreenerKernels(const Int4Matrix &matrix, IsaLevel isa);
 
 } // namespace numeric
 } // namespace ecssd

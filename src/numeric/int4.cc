@@ -14,35 +14,6 @@ namespace numeric
 namespace
 {
 
-/** One packed byte decoded to its two signed nibble values. */
-struct NibblePair
-{
-    std::int16_t lo;
-    std::int16_t hi;
-};
-
-/** Sign-extend a 4-bit value branchlessly. */
-constexpr std::int16_t
-signExtendNibble(unsigned nibble)
-{
-    return static_cast<std::int16_t>(
-        static_cast<int>((nibble & 0xf) ^ 0x8) - 0x8);
-}
-
-/** 256-entry byte -> (low, high) signed-pair decode table. */
-constexpr std::array<NibblePair, 256>
-makeBytePairs()
-{
-    std::array<NibblePair, 256> pairs{};
-    for (unsigned byte = 0; byte < 256; ++byte) {
-        pairs[byte].lo = signExtendNibble(byte & 0xf);
-        pairs[byte].hi = signExtendNibble(byte >> 4);
-    }
-    return pairs;
-}
-
-constexpr std::array<NibblePair, 256> kBytePairs = makeBytePairs();
-
 /**
  * Column count up to which an int32 accumulator cannot overflow: the
  * largest per-element product is 7 * 7 = 49.
@@ -186,26 +157,27 @@ Int4Matrix::widenFeature(const Int4Vector &feature,
 namespace
 {
 
-/**
- * The shared inner loop: accumulate one packed row against a widened
- * feature.  Acc is int32 on every realistic shape (kInt32SafeCols)
- * and int64 beyond it; both produce the same exact integer.
- */
-template <typename Acc>
-inline Acc
-accumulateRow(const std::uint8_t *row, const std::int16_t *feature,
-              std::size_t bytes)
+/** The exact int64 LUT loop for rows past kInt32SafeCols. */
+std::int64_t
+rowDotInt64(const std::uint8_t *row, const std::int16_t *feature,
+            std::size_t bytes)
 {
-    Acc acc = 0;
+    std::int64_t acc = 0;
     for (std::size_t b = 0; b < bytes; ++b) {
         const NibblePair pair = kBytePairs[row[b]];
-        acc += static_cast<Acc>(pair.lo) * feature[2 * b]
-            + static_cast<Acc>(pair.hi) * feature[2 * b + 1];
+        acc += static_cast<std::int64_t>(pair.lo) * feature[2 * b]
+            + static_cast<std::int64_t>(pair.hi) * feature[2 * b + 1];
     }
     return acc;
 }
 
 } // namespace
+
+bool
+Int4Matrix::needsInt64() const
+{
+    return cols_ > kInt32SafeCols;
+}
 
 std::int64_t
 Int4Matrix::rawDotRowLut(std::size_t r,
@@ -215,14 +187,8 @@ Int4Matrix::rawDotRowLut(std::size_t r,
     ECSSD_ASSERT(r < rows_ && feature.size() == 2 * bytesPerRow_,
                  "int4 widened feature mismatch");
     const std::uint8_t *row = packed_.data() + r * bytesPerRow_;
-    // Past the int32-safe column bound every level shares the exact
-    // scalar int64 loop (the SIMD bodies keep int32 accumulators).
-    if (cols_ > kInt32SafeCols)
-        return accumulateRow<std::int64_t>(row, feature.data(),
-                                           bytesPerRow_);
-    if (isa == IsaLevel::Scalar)
-        return accumulateRow<std::int32_t>(row, feature.data(),
-                                           bytesPerRow_);
+    if (needsInt64())
+        return rowDotInt64(row, feature.data(), bytesPerRow_);
     return rowDotWidened(row, feature.data(), bytesPerRow_, isa);
 }
 
@@ -235,33 +201,21 @@ Int4Matrix::dotRowsLut(std::size_t row_begin, std::size_t row_end,
     ECSSD_ASSERT(row_begin <= row_end && row_end <= rows_
                      && feature.size() == 2 * bytesPerRow_,
                  "int4 row-range kernel misuse");
-    const std::int16_t *widened = feature.data();
-    if (isa == IsaLevel::Scalar || cols_ > kInt32SafeCols) {
-        // The original LUT loop, kept inline so the pinned-scalar
-        // path stays byte-for-byte the pre-dispatch code.
-        for (std::size_t r = row_begin; r < row_end; ++r) {
-            const std::uint8_t *row =
-                packed_.data() + r * bytesPerRow_;
-            const std::int64_t acc = cols_ <= kInt32SafeCols
-                ? accumulateRow<std::int32_t>(row, widened,
-                                              bytesPerRow_)
-                : accumulateRow<std::int64_t>(row, widened,
-                                              bytesPerRow_);
-            out[r - row_begin] =
-                rescale(acc, scales_[r], feature_scale);
-        }
-        return;
-    }
-    // Range kernel + stack staging: one dispatch per block of rows,
-    // and the raw int64 accumulators rescale in a separate tight
-    // loop (same rescale expression, so same bits).
+    // Range kernel + stack staging: one kernel call per block of
+    // rows, and the raw int64 accumulators rescale in a separate
+    // tight loop (same rescale expression as dotRow(), so same bits).
     std::array<std::int64_t, 256> acc;
     for (std::size_t r0 = row_begin; r0 < row_end; r0 += acc.size()) {
-        const std::size_t n =
-            std::min(acc.size(), row_end - r0);
-        rowDotWidenedRange(packed_.data() + r0 * bytesPerRow_,
-                           bytesPerRow_, n, widened, bytesPerRow_,
-                           acc.data(), isa);
+        const std::size_t n = std::min(acc.size(), row_end - r0);
+        const std::uint8_t *rows = packed_.data() + r0 * bytesPerRow_;
+        if (needsInt64()) {
+            for (std::size_t i = 0; i < n; ++i)
+                acc[i] = rowDotInt64(rows + i * bytesPerRow_,
+                                     feature.data(), bytesPerRow_);
+        } else {
+            rowDotWidenedRange(rows, bytesPerRow_, n, feature.data(),
+                               bytesPerRow_, acc.data(), isa);
+        }
         for (std::size_t i = 0; i < n; ++i)
             out[r0 - row_begin + i] =
                 rescale(acc[i], scales_[r0 + i], feature_scale);
@@ -282,37 +236,28 @@ Int4Matrix::dotRowsBatchLut(std::size_t row_begin,
                      && feature_stride >= 2 * bytesPerRow_,
                  "int4 batch kernel misuse");
     // Tile over queries so each decoded weight row is reused across
-    // the whole query block while it is still hot; int32 accumulator
-    // tiles, one rescale per (row, query) at the end.  The tile
-    // width only changes grouping — every (row, query) cell is an
-    // independent exact integer, so any tile yields the same bits.
-    constexpr std::size_t kMaxQueryTile = 16;
+    // the whole query block while it is still hot; one rescale per
+    // (row, query) at the end.  The tile width only changes grouping
+    // — every (row, query) cell is an independent exact integer, so
+    // any tile yields the same bits.
     const std::size_t tile_width =
         std::clamp<std::size_t>(query_tile, 1, kMaxQueryTile);
-    const bool simd = isa != IsaLevel::Scalar
-        && cols_ <= kInt32SafeCols;
     std::array<std::int64_t, kMaxQueryTile> acc;
     for (std::size_t q0 = 0; q0 < query_count; q0 += tile_width) {
         const std::size_t tile =
             std::min(tile_width, query_count - q0);
+        const std::int16_t *block = features + q0 * feature_stride;
         for (std::size_t r = row_begin; r < row_end; ++r) {
             const std::uint8_t *row =
                 packed_.data() + r * bytesPerRow_;
-            if (simd) {
-                rowDotWidenedBatch(row,
-                                   features + q0 * feature_stride,
-                                   tile, feature_stride, bytesPerRow_,
-                                   acc.data(), isa);
+            if (needsInt64()) {
+                for (std::size_t q = 0; q < tile; ++q)
+                    acc[q] = rowDotInt64(row,
+                                         block + q * feature_stride,
+                                         bytesPerRow_);
             } else {
-                for (std::size_t q = 0; q < tile; ++q) {
-                    const std::int16_t *widened =
-                        features + (q0 + q) * feature_stride;
-                    acc[q] = cols_ <= kInt32SafeCols
-                        ? accumulateRow<std::int32_t>(row, widened,
-                                                      bytesPerRow_)
-                        : accumulateRow<std::int64_t>(row, widened,
-                                                      bytesPerRow_);
-                }
+                rowDotWidenedBatch(row, block, tile, feature_stride,
+                                   bytesPerRow_, acc.data(), isa);
             }
             for (std::size_t q = 0; q < tile; ++q) {
                 out[(q0 + q) * out_stride + (r - row_begin)] =

@@ -112,10 +112,9 @@ class Int4Matrix
     // the final rescale is the same double product).
     //
     // Each row-range kernel takes an IsaLevel (default: the
-    // process-wide activeIsa()) selecting the SIMD body from
-    // numeric/kernels.hh.  Integer accumulation is associative, so
-    // every level returns the same bits; IsaLevel::Scalar runs the
-    // original LUT loops unchanged.
+    // process-wide activeIsa()) and passes it to numeric/kernels.hh,
+    // which selects the body.  Integer accumulation is associative,
+    // so every level returns the same bits.
 
     /** Widen @p feature to the int16 layout the kernels consume: one
      *  value per nibble slot, zero-padded to 2 * bytes-per-row. */
@@ -152,7 +151,7 @@ class Int4Matrix
      * decoded once and reused across every query in the block
      * (GEMM-style reuse); int32 accumulators, one rescale at the
      * end.  Bit-identical to per-query dotRowsLut for any
-     * @p query_tile in [1, 16] (each (row, query) cell is an
+     * @p query_tile in [1, kMaxQueryTile] (each (row, query) cell is an
      * independent exact integer).
      */
     void dotRowsBatchLut(std::size_t row_begin, std::size_t row_end,
@@ -183,6 +182,11 @@ class Int4Matrix
     std::uint64_t storageBytes() const;
 
   private:
+    /** True when a row is too wide for the kernels' int32
+     *  accumulators; such rows take an exact int64 loop instead (an
+     *  overflow bound, not an ISA choice). */
+    bool needsInt64() const;
+
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     std::size_t bytesPerRow_ = 0;

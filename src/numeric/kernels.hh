@@ -3,24 +3,24 @@
  * Runtime-dispatched SIMD host kernels.
  *
  * Every hot host-compute kernel (INT4 LUT screening, quantization,
- * the projection GEMV, the FP32 pairwise-tree dot) exists at up to
- * four ISA levels:
+ * the projection GEMV, the FP32 pairwise-tree dot, CFP pre-alignment)
+ * exists at three ISA levels:
  *
- *   scalar  — the original reference loops (byte-for-byte the PR 7
- *             code paths).
- *   vector  — portable GCC vector-extension lanes, compiled against
- *             the baseline ISA (SSE2 on x86-64).  The correctness
- *             fallback on hosts without AVX.
+ *   scalar  — the reference loops every other level must reproduce;
+ *             also the fallback on hosts without AVX2.
  *   avx2    — 256-bit integer (pmaddwd) and FP paths.
  *   avx512  — 512-bit paths (requires AVX-512 F/BW/VL).
+ *
+ * Each entry point below is the one place that branches on the
+ * level: callers pass an IsaLevel through and never test it.
  *
  * Dispatch contract: *every* level computes bit-identical results.
  * Integer kernels accumulate exactly (associativity is free); the
  * FP32 kernels are vectorized across independent outputs or along
  * the data-independent pairwise-tree structure, so no floating-point
- * operation is reassociated relative to the scalar reference.  This
- * file is compiled with -ffp-contract=off so no level silently gains
- * an FMA the others lack.  The golden-tolerance contract for any
+ * operation is reassociated relative to the scalar reference.
+ * kernels.cc is compiled with -ffp-contract=off so no level silently
+ * gains an FMA the others lack.  The golden-tolerance contract for any
  * future reassociating FP32 kernel lives in
  * tests/test_kernels_differential.cc (see docs/MODELING.md §14).
  *
@@ -33,6 +33,7 @@
 #ifndef ECSSD_NUMERIC_KERNELS_HH
 #define ECSSD_NUMERIC_KERNELS_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -48,13 +49,12 @@ namespace numeric
 enum class IsaLevel : int
 {
     Scalar = 0,
-    /** GCC vector extensions against the baseline ISA. */
-    VecExt = 1,
+    // The values are published as the kernel.isa gauge; keep them.
     Avx2 = 2,
     Avx512 = 3,
 };
 
-/** Canonical lowercase name ("scalar", "vector", "avx2", "avx512"). */
+/** Canonical lowercase name ("scalar", "avx2", "avx512"). */
 const char *toString(IsaLevel level);
 
 /** Parse a level name; nullopt on anything unknown ("auto" included). */
@@ -68,7 +68,7 @@ bool isValidIsaRequest(std::string_view request);
 /** True when this CPU can execute @p level. */
 bool isaSupported(IsaLevel level);
 
-/** Best level this CPU supports (never worse than VecExt). */
+/** Best level this CPU supports (Scalar without AVX2). */
 IsaLevel detectBestIsa();
 
 /** Every level this CPU supports, worst to best (Scalar included). */
@@ -181,11 +181,37 @@ std::uint64_t cfp16AlignSpan(std::span<const float> values,
 
 // --- INT4 LUT kernels (exact integer accumulation) ----------------
 
+/** One packed byte decoded to its two signed nibble values. */
+struct NibblePair
+{
+    std::int16_t lo;
+    std::int16_t hi;
+};
+
+/** Sign-extend a 4-bit value branchlessly. */
+constexpr std::int16_t
+signExtendNibble(unsigned nibble)
+{
+    return static_cast<std::int16_t>(
+        static_cast<int>((nibble & 0xf) ^ 0x8) - 0x8);
+}
+
+/** 256-entry byte -> (low, high) signed-pair decode table, shared by
+ *  the LUT kernels and Int4Matrix::widenFeature(). */
+inline constexpr std::array<NibblePair, 256> kBytePairs = [] {
+    std::array<NibblePair, 256> pairs{};
+    for (unsigned byte = 0; byte < 256; ++byte) {
+        pairs[byte].lo = signExtendNibble(byte & 0xf);
+        pairs[byte].hi = signExtendNibble(byte >> 4);
+    }
+    return pairs;
+}();
+
 /**
  * Raw integer dot product of one packed row against a widened int16
  * feature (see Int4Matrix::widenFeature), int32 accumulation.  The
- * caller guarantees cols <= kInt32SafeCols (Int4Matrix dispatches to
- * its scalar int64 loop beyond that).
+ * caller guarantees cols <= kInt32SafeCols (Int4Matrix runs its
+ * exact int64 loop beyond that).
  */
 std::int64_t rowDotWidened(const std::uint8_t *row,
                            const std::int16_t *feature,
@@ -205,10 +231,15 @@ void rowDotWidenedRange(const std::uint8_t *rows,
                         std::size_t bytes, std::int64_t *out,
                         IsaLevel level);
 
+/** Largest query tile rowDotWidenedBatch() accepts (the register
+ *  budget of the widest level); callers tile above this. */
+inline constexpr std::size_t kMaxQueryTile = 16;
+
 /**
  * Multi-query row block: for each query q in [0, query_count), raw
  * int32 dot of @p row against features + q * feature_stride into
- * acc[q].  One row decode shared by the whole query block.
+ * acc[q].  One row decode shared by the whole query block;
+ * @p query_count must not exceed kMaxQueryTile.
  */
 void rowDotWidenedBatch(const std::uint8_t *row,
                         const std::int16_t *features,

@@ -21,8 +21,8 @@ Screener::Screener(const numeric::FloatMatrix &weights,
                      : numeric::Projector(weights.cols(),
                                           spec.shrunkDim(), seed)),
       screener_(projector_.projectRows(weights, pool), pool),
-      plan_(numeric::autotuneScreenerKernels(
-          screener_, numeric::activeIsa(), /*measure=*/true))
+      plan_(numeric::planScreenerKernels(screener_,
+                                         numeric::activeIsa()))
 {
     ECSSD_ASSERT(weights.rows() == spec.categories,
                  "weights/spec category mismatch");
@@ -65,7 +65,7 @@ Screener::scoresInto(const numeric::Int4Vector &feature,
     screener_.widenFeature(feature, widenedScratch_);
     out.resize(screener_.rows());
     const std::span<const std::int16_t> widened(widenedScratch_);
-    // The tuned row chunk is the parallel grain: each pool task
+    // The plan's row chunk is the parallel grain: each pool task
     // streams one L2-resident slice of the packed matrix.  The
     // chunking (like the ISA level) only regroups exact integer
     // dot products, so the scores are bit-identical for any plan.

@@ -79,10 +79,10 @@ class Screener
     const numeric::Projector &projector() const { return projector_; }
 
     /**
-     * The kernel plan tuned at construction: ISA level, row chunk
-     * (the parallel grain of scoresInto/scoresBatch), query tile,
-     * and the observability-only candidate timings.  Deterministic
-     * for a given (shape, active ISA) — see numeric/autotune.hh.
+     * The kernel plan fixed at construction: ISA level, row chunk
+     * (the parallel grain of scoresInto/scoresBatch) and query tile.
+     * A pure function of (shape, active ISA) — see
+     * numeric/autotune.hh.
      */
     const numeric::KernelPlan &kernelPlan() const { return plan_; }
 

@@ -1,16 +1,15 @@
 /**
  * @file
- * Autotuner determinism tests: the kernel plan must be a pure
- * function of (matrix shape, ISA level).  Candidate chunks are
- * benchmarked for observability, but wall-clock must never leak into
- * the selection — the same shape yields the same plan on every run,
- * the plan survives weightDeploy() and is visible in the metrics
- * dump, and an unknown --isa / ECSSD_ISA request dies with a named
- * error before any system is built.
+ * Kernel-plan determinism tests: the plan must be a closed-form
+ * function of (matrix shape, ISA level) — the same shape yields the
+ * same plan on every run, the plan survives weightDeploy() and is
+ * visible in the metrics dump, and an unknown --isa / ECSSD_ISA
+ * request dies with a named error before any system is built.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -51,23 +50,34 @@ struct IsaGuard
 
 } // namespace
 
-TEST(Autotune, RowChunkCandidatesAreDeterministicPow2)
+TEST(Autotune, ScreenerRowChunkIsDeterministicPow2)
 {
+    // The largest power of two in [512, 4096] whose packed bytes fit
+    // the 256 KiB chunk budget (512 when nothing fits), monotonically
+    // non-increasing in the row width.
+    constexpr std::size_t kBudget = 256 * 1024;
+    std::size_t previous = 4096;
     for (const std::size_t bytes : {0ull, 1ull, 32ull, 100ull,
                                     512ull, 4096ull}) {
-        const auto first = rowChunkCandidates(bytes);
-        EXPECT_EQ(rowChunkCandidates(bytes), first) << bytes;
-        ASSERT_FALSE(first.empty()) << bytes;
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            EXPECT_GE(first[i], 512u) << bytes;
-            EXPECT_LE(first[i], 4096u) << bytes;
-            // Powers of two, strictly increasing.
-            EXPECT_EQ(first[i] & (first[i] - 1), 0u) << bytes;
-            if (i > 0) {
-                EXPECT_EQ(first[i], 2 * first[i - 1]) << bytes;
-            }
+        const std::size_t chunk = screenerRowChunk(bytes);
+        SCOPED_TRACE(bytes);
+        EXPECT_EQ(screenerRowChunk(bytes), chunk);
+        EXPECT_GE(chunk, 512u);
+        EXPECT_LE(chunk, 4096u);
+        EXPECT_EQ(chunk & (chunk - 1), 0u);
+        EXPECT_LE(chunk, previous);
+        const std::size_t row_bytes = std::max<std::size_t>(1, bytes);
+        if (chunk > 512) {
+            EXPECT_LE(chunk * row_bytes, kBudget);
         }
+        if (chunk < 4096) {
+            EXPECT_GT(2 * chunk * row_bytes, kBudget);
+        }
+        previous = chunk;
     }
+    EXPECT_EQ(screenerRowChunk(32), 4096u);
+    EXPECT_EQ(screenerRowChunk(100), 2048u);
+    EXPECT_EQ(screenerRowChunk(4096), 512u);
 }
 
 TEST(Autotune, BatchQueryTileIsShapeHeuristicInContract)
@@ -77,8 +87,7 @@ TEST(Autotune, BatchQueryTileIsShapeHeuristicInContract)
     // row width (wider rows -> bigger widened features -> narrower
     // tile), and never wider than the level's register budget.
     for (const IsaLevel isa :
-         {IsaLevel::Scalar, IsaLevel::VecExt, IsaLevel::Avx2,
-          IsaLevel::Avx512}) {
+         {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512}) {
         std::size_t previous = 16;
         for (const std::size_t bytes :
              {0ull, 1ull, 16ull, 64ull, 256ull, 512ull, 1024ull,
@@ -109,28 +118,19 @@ TEST(Autotune, PlanIsPureFunctionOfShapeAndIsa)
     const Int4Matrix matrix = smallMatrix(3000, 40);
     for (const IsaLevel isa : supportedIsaLevels()) {
         SCOPED_TRACE(toString(isa));
-        // Measured and unmeasured plans pick identically — timings
-        // are observability only.
-        const KernelPlan cold =
-            autotuneScreenerKernels(matrix, isa, false);
-        EXPECT_FALSE(cold.measured);
-        EXPECT_EQ(cold.nsPerRow, 0.0);
+        const KernelPlan plan = planScreenerKernels(matrix, isa);
+        EXPECT_EQ(plan.isa, isa);
+        EXPECT_EQ(plan.rows, matrix.rows());
+        EXPECT_EQ(plan.cols, matrix.cols());
+        EXPECT_EQ(plan.bytesPerRow, matrix.bytesPerRow());
+        EXPECT_EQ(plan.rowChunk, screenerRowChunk(matrix.bytesPerRow()));
+        EXPECT_EQ(plan.queryTile,
+                  batchQueryTile(matrix.rows(), matrix.bytesPerRow(),
+                                 isa));
         for (int run = 0; run < 3; ++run) {
-            const KernelPlan plan =
-                autotuneScreenerKernels(matrix, isa, true);
-            EXPECT_TRUE(plan.measured);
-            EXPECT_EQ(plan.isa, isa);
-            EXPECT_EQ(plan.rows, matrix.rows());
-            EXPECT_EQ(plan.cols, matrix.cols());
-            EXPECT_EQ(plan.bytesPerRow, matrix.bytesPerRow());
-            EXPECT_EQ(plan.rowChunk, cold.rowChunk) << run;
-            EXPECT_EQ(plan.queryTile, cold.queryTile) << run;
-            // The selected candidate is flagged and is the chunk the
-            // plan carries.
-            ASSERT_FALSE(plan.candidates.empty());
-            for (const KernelCandidate &candidate : plan.candidates)
-                EXPECT_EQ(candidate.selected,
-                          candidate.rowChunk == plan.rowChunk);
+            const KernelPlan again = planScreenerKernels(matrix, isa);
+            EXPECT_EQ(again.rowChunk, plan.rowChunk) << run;
+            EXPECT_EQ(again.queryTile, plan.queryTile) << run;
         }
     }
 }
@@ -198,8 +198,10 @@ TEST(Autotune, ValidateRejectsUnknownIsaOption)
     EXPECT_THROW(options.validate(), sim::FatalError);
     options.isa = "avx1024";
     EXPECT_THROW(options.validate(), sim::FatalError);
-    for (const char *good :
-         {"auto", "scalar", "vector", "avx2", "avx512"}) {
+    // "vector" named a level this build no longer has.
+    options.isa = "vector";
+    EXPECT_THROW(options.validate(), sim::FatalError);
+    for (const char *good : {"auto", "scalar", "avx2", "avx512"}) {
         options.isa = good;
         EXPECT_NO_THROW(options.validate()) << good;
     }
@@ -210,6 +212,8 @@ TEST(Autotune, ValidateRejectsUnknownIsaEnvironment)
     IsaGuard guard;
     EcssdOptions options = EcssdOptions::full();
     ASSERT_EQ(setenv("ECSSD_ISA", "bogus", 1), 0);
+    EXPECT_THROW(options.validate(), sim::FatalError);
+    ASSERT_EQ(setenv("ECSSD_ISA", "vector", 1), 0);
     EXPECT_THROW(options.validate(), sim::FatalError);
     ASSERT_EQ(setenv("ECSSD_ISA", "scalar", 1), 0);
     EXPECT_NO_THROW(options.validate());

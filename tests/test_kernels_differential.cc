@@ -120,8 +120,7 @@ expectIntegerKernelsAgree(const Int4Matrix &matrix,
 
         // The raw range kernel (the hot screener path) against the
         // per-row calls, only on shapes inside its int32 contract.
-        if (matrix.cols() <= kInt32SafeCols && rows > 0
-            && isa != IsaLevel::Scalar) {
+        if (matrix.cols() <= kInt32SafeCols && rows > 0) {
             std::vector<std::int64_t> range(rows);
             rowDotWidenedRange(matrix.packedRow(0).data(),
                                matrix.bytesPerRow(), rows,

@@ -25,8 +25,8 @@
  *   --threads N           host-compute worker threads (wall-clock
  *                         only: output is bit-identical for any N)
  *   --isa LEVEL           host-compute SIMD level: auto | scalar |
- *                         vector | avx2 | avx512 (wall-clock only,
- *                         like --threads; ECSSD_ISA overrides)
+ *                         avx2 | avx512 (wall-clock only, like
+ *                         --threads; ECSSD_ISA overrides)
  *   --cache-mb N          SSD-DRAM hot-row candidate cache capacity
  *                         in MiB (0 = disabled, the default)
  *   --list                list benchmarks and architectures
@@ -116,6 +116,9 @@
  *                         arrivals per tenant) and reports per
  *                         tenant; metrics land under
  *                         "tenant.<name>.*"
+ *
+ * Exit status: 0 on success, 2 on a usage or configuration error
+ * (one "fatal: ..." line on stderr).
  */
 
 #include <cstdio>
@@ -182,7 +185,7 @@ usage(const char *argv0, int code)
                 "[--no-overlap]\n"
                 "  [--arch NAME] [--sweep-layouts] [--energy]\n"
                 "  [--trace CATS] [--seed N] [--threads N]\n"
-                "  [--isa auto|scalar|vector|avx2|avx512]\n"
+                "  [--isa auto|scalar|avx2|avx512]\n"
                 "  [--cache-mb N] [--list]\n"
                 "  [--deploy-host-budget-mb N] [--relayout]\n"
                 "  [--relayout-threshold F] [--relayout-pages N]\n"
@@ -680,10 +683,8 @@ writeDump(const std::string &path, WriteFn &&write)
     write(os);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliOptions cli;
     for (int i = 1; i < argc; ++i) {
@@ -966,4 +967,17 @@ main(int argc, char **argv)
 
     report(spec, cli.device, cli.batches, cli.energy, cli.health);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const sim::FatalError &) {
+        // sim::fatal() has already printed the one-line message.
+        return 2;
+    }
 }
