@@ -1,6 +1,7 @@
 #include "workload.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <unordered_set>
@@ -44,6 +45,35 @@ hashUniform(std::uint64_t key, std::uint64_t salt)
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     z ^= z >> 31;
     return static_cast<double>(z >> 11) * 0x1.0p-53;
+}
+
+/** Candidate rows per batch: L * candidateRatio, at least one. */
+std::uint64_t
+candidateBudget(const BenchmarkSpec &spec)
+{
+    return std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               static_cast<double>(spec.categories)
+               * spec.candidateRatio));
+}
+
+/** An all-clear bitmap with one bit per category. */
+std::vector<std::uint64_t>
+categoryBitmap(std::uint64_t categories)
+{
+    return std::vector<std::uint64_t>((categories + 63) / 64, 0);
+}
+
+void
+setBit(std::vector<std::uint64_t> &bits, std::uint64_t index)
+{
+    bits[index >> 6] |= 1ULL << (index & 63);
+}
+
+bool
+testBit(const std::vector<std::uint64_t> &bits, std::uint64_t index)
+{
+    return (bits[index >> 6] >> (index & 63)) & 1;
 }
 
 } // namespace
@@ -179,7 +209,9 @@ CandidateTrace::CandidateTrace(const BenchmarkSpec &spec,
                                double predictor_noise)
     : spec_(spec), rng_(seed), predictorNoise_(predictor_noise)
 {
-    ECSSD_ASSERT(spec.categories > 1, "trace needs > 1 category");
+    if (spec.categories < 2)
+        sim::fatal("candidate trace needs at least 2 categories, got ",
+                   spec.categories);
     // Keyed Feistel bijection over the next power of two, with
     // cycle-walking back into [0, L).  Unlike an affine map, the
     // image of a rank interval is statistically random, so the hot
@@ -190,37 +222,32 @@ CandidateTrace::CandidateTrace(const BenchmarkSpec &spec,
     for (auto &key : feistelKeys_)
         key = rng_.next();
     noiseSalt_ = rng_.next();
+    const std::uint64_t want = candidateBudget(spec);
+    hotSize_ = static_cast<std::uint64_t>(static_cast<double>(want)
+                                          * spec.hotSetFraction);
 
     // Build the sticky tail: the mid-popularity categories that keep
     // clearing the screening threshold batch after batch (and that
     // the training set therefore reveals to the predictor).
-    const std::uint64_t want = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(spec.categories)
-               * spec.candidateRatio));
-    const std::uint64_t hot = std::min(hotSetSize(), want);
-    const std::uint64_t tail_count = want - hot;
-    std::unordered_set<std::uint64_t> taken;
-    taken.reserve(tail_count * 2);
-    while (taken.size() < tail_count)
-        taken.insert(drawTailCategory(taken));
-    stickyTail_.assign(taken.begin(), taken.end());
+    const std::uint64_t tail_count = want - std::min(hotSize_, want);
+    stickyBits_ = categoryBitmap(spec.categories);
+    stickyTail_.reserve(tail_count);
+    while (stickyTail_.size() < tail_count) {
+        const std::uint64_t category = nextTailCategory();
+        if (!testBit(stickyBits_, category)) {
+            setBit(stickyBits_, category);
+            stickyTail_.push_back(category);
+        }
+    }
     std::sort(stickyTail_.begin(), stickyTail_.end());
 }
 
 std::uint64_t
-CandidateTrace::drawTailCategory(
-    const std::unordered_set<std::uint64_t> &taken)
+CandidateTrace::nextTailCategory()
 {
-    const std::uint64_t hot = hotSetSize();
-    const std::uint64_t tail_ranks = spec_.categories - hot;
-    for (;;) {
-        const std::uint64_t rank =
-            hot + rng_.zipf(tail_ranks, spec_.popularitySkew);
-        const std::uint64_t category = categoryAtRank(rank);
-        if (taken.find(category) == taken.end())
-            return category;
-    }
+    const std::uint64_t tail_ranks = spec_.categories - hotSize_;
+    return categoryAtRank(hotSize_
+                          + rng_.zipf(tail_ranks, spec_.popularitySkew));
 }
 
 std::uint64_t
@@ -292,10 +319,9 @@ CandidateTrace::hotness(std::uint64_t category) const
     // Multiplicative noise stands in for predictor error.
     const std::uint64_t rank = rankOf(category);
     double mass;
-    if (rank < hotSetSize()) {
+    if (rank < hotSize_) {
         mass = 4.0;
-    } else if (std::binary_search(stickyTail_.begin(),
-                                  stickyTail_.end(), category)) {
+    } else if (testBit(stickyBits_, category)) {
         mass = 1.0 - spec_.candidateChurn;
     } else {
         mass = std::pow(static_cast<double>(rank) + 1.0,
@@ -310,32 +336,33 @@ CandidateTrace::hotness(std::uint64_t category) const
     return mass * std::exp(predictorNoise_ * z);
 }
 
-std::uint64_t
-CandidateTrace::hotSetSize() const
+void
+CandidateTrace::buildHotHead(std::uint64_t hot)
 {
-    const std::uint64_t want = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(spec_.categories)
-               * spec_.candidateRatio));
-    return static_cast<std::uint64_t>(
-        static_cast<double>(want) * spec_.hotSetFraction);
+    // Mark the hot categories in a bitmap and read them back in id
+    // order: a linear scan in place of a sort.
+    std::vector<std::uint64_t> bits = categoryBitmap(spec_.categories);
+    for (std::uint64_t rank = 0; rank < hot; ++rank)
+        setBit(bits, categoryAtRank(rank));
+    hotHead_.clear();
+    hotHead_.reserve(hot);
+    for (std::uint64_t word = 0; word < bits.size(); ++word)
+        for (std::uint64_t w = bits[word]; w != 0; w &= w - 1)
+            hotHead_.push_back(word * 64 + std::countr_zero(w));
 }
 
 std::vector<std::uint64_t>
 CandidateTrace::drawCandidates()
 {
-    const std::uint64_t want = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(spec_.categories)
-               * spec_.candidateRatio));
-    std::unordered_set<std::uint64_t> chosen;
-    chosen.reserve(want * 2);
+    const std::uint64_t want = candidateBudget(spec_);
 
     // The deterministic hot head: these categories clear the
-    // screening threshold for essentially every query batch.
-    const std::uint64_t hot = std::min(hotSetSize(), want);
-    for (std::uint64_t rank = 0; rank < hot; ++rank)
-        chosen.insert(categoryAtRank(rank));
+    // screening threshold for essentially every query batch.  Tail
+    // draws come from ranks past it and never collide with it, so it
+    // is built once and merged into every batch.
+    const std::uint64_t hot = std::min(hotSize_, want);
+    if (hotHead_.size() != hot)
+        buildHotHead(hot);
 
     // The sticky tail, minus this batch's churn: a random
     // candidateChurn fraction of the sticky members is replaced by
@@ -343,19 +370,42 @@ CandidateTrace::drawCandidates()
     const std::uint64_t churn = static_cast<std::uint64_t>(
         static_cast<double>(stickyTail_.size())
         * spec_.candidateChurn);
-    std::unordered_set<std::uint64_t> dropped;
-    while (dropped.size() < churn && !stickyTail_.empty())
-        dropped.insert(
-            stickyTail_[rng_.uniformInt(stickyTail_.size())]);
-    for (const std::uint64_t category : stickyTail_)
-        if (dropped.find(category) == dropped.end())
-            chosen.insert(category);
-    while (chosen.size() < want && spec_.categories > hot)
-        chosen.insert(drawTailCategory(chosen));
+    std::vector<char> dropped(stickyTail_.size(), 0);
+    for (std::uint64_t count = 0; count < churn;) {
+        char &slot = dropped[rng_.uniformInt(stickyTail_.size())];
+        count += !slot;
+        slot = 1;
+    }
+    std::vector<std::uint64_t> tail;
+    tail.reserve(want - hot);
+    for (std::size_t i = 0; i < stickyTail_.size(); ++i)
+        if (!dropped[i])
+            tail.push_back(stickyTail_[i]);
+    const auto kept_sticky = [&](std::uint64_t category) {
+        if (!testBit(stickyBits_, category))
+            return false;
+        const auto it = std::lower_bound(
+            stickyTail_.begin(), stickyTail_.end(), category);
+        return !dropped[it - stickyTail_.begin()];
+    };
 
-    std::vector<std::uint64_t> candidates(chosen.begin(),
-                                          chosen.end());
-    std::sort(candidates.begin(), candidates.end());
+    // Fresh draws refill the tail; a dropped sticky member may come
+    // back.
+    const std::size_t kept = tail.size();
+    std::unordered_set<std::uint64_t> fresh;
+    fresh.reserve(2 * (want - hot - kept));
+    while (hot + tail.size() < want) {
+        const std::uint64_t category = nextTailCategory();
+        if (!kept_sticky(category) && fresh.insert(category).second)
+            tail.push_back(category);
+    }
+    std::sort(tail.begin() + kept, tail.end());
+    std::inplace_merge(tail.begin(), tail.begin() + kept, tail.end());
+
+    std::vector<std::uint64_t> candidates(hotHead_.size()
+                                          + tail.size());
+    std::merge(hotHead_.begin(), hotHead_.end(), tail.begin(),
+               tail.end(), candidates.begin());
     return candidates;
 }
 

@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "numeric/matrix.hh"
@@ -191,6 +190,9 @@ class CandidateTrace
      * space, sorted ascending.  The count is
      * categories * candidateRatio, drawn without replacement with
      * popularity bias.
+     *
+     * Cost per batch is O(sticky tail + churn) plus a linear merge
+     * with the hot head, which is materialised on the first call.
      */
     std::vector<std::uint64_t> drawCandidates();
 
@@ -199,7 +201,7 @@ class CandidateTrace
      * candidate), as the interleaving framework predicts from the
      * INT4 row masses plus training-set fine-tuning.  Deterministic
      * per category; computed on the fly so 100M-category benchmarks
-     * need no per-category arrays.
+     * need no per-category arrays beyond a one-bit sticky-tail map.
      */
     double hotness(std::uint64_t category) const;
 
@@ -207,7 +209,7 @@ class CandidateTrace
     std::uint64_t rankOf(std::uint64_t category) const;
 
     /** Number of deterministic hot-set categories. */
-    std::uint64_t hotSetSize() const;
+    std::uint64_t hotSetSize() const { return hotSize_; }
 
     /** Category at popularity rank @p rank. */
     std::uint64_t categoryAtRank(std::uint64_t rank) const;
@@ -219,9 +221,12 @@ class CandidateTrace
     }
 
   private:
-    /** Draw one fresh tail rank not in @p taken. */
-    std::uint64_t drawTailCategory(
-        const std::unordered_set<std::uint64_t> &taken);
+    /** One popularity-biased draw from the tail ranks (past the hot
+     *  set); callers reject categories they already hold. */
+    std::uint64_t nextTailCategory();
+
+    /** Materialise the sorted hot head (ranks [0, @p hot)). */
+    void buildHotHead(std::uint64_t hot);
 
     /** One keyed Feistel round over the half-width words. */
     static std::uint64_t hashRound(std::uint64_t half,
@@ -239,8 +244,13 @@ class CandidateTrace
     unsigned halfBits_ = 1;
     std::array<std::uint64_t, 4> feistelKeys_{};
     std::uint64_t noiseSalt_ = 0;
+    std::uint64_t hotSize_ = 0;
     /** Sorted sticky tail categories (fixed at construction). */
     std::vector<std::uint64_t> stickyTail_;
+    /** L-bit membership map of stickyTail_, for hotness(). */
+    std::vector<std::uint64_t> stickyBits_;
+    /** Sorted hot-head categories, built by the first draw. */
+    std::vector<std::uint64_t> hotHead_;
 };
 
 } // namespace xclass

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "sim/logging.hh"
@@ -147,21 +148,6 @@ TEST(CandidateTrace, DrawsApproximatelyTheCandidateRatio)
                 want * 0.05);
 }
 
-TEST(CandidateTrace, CandidatesAreSortedAndUnique)
-{
-    BenchmarkSpec spec = scaledDown(
-        benchmarkByName("XMLCNN-S10M"), 10000);
-    CandidateTrace trace(spec, 8);
-    const std::vector<std::uint64_t> candidates =
-        trace.drawCandidates();
-    EXPECT_TRUE(std::is_sorted(candidates.begin(),
-                               candidates.end()));
-    EXPECT_EQ(std::adjacent_find(candidates.begin(),
-                                 candidates.end()),
-              candidates.end());
-    for (const std::uint64_t c : candidates)
-        EXPECT_LT(c, spec.categories);
-}
 
 TEST(CandidateTrace, PopularCategoriesAppearMoreOften)
 {
@@ -292,4 +278,209 @@ TEST(CandidateTrace, StickyTailPersistsAcrossBatches)
                       / static_cast<double>(sticky.size()),
                   1.0 - spec.candidateChurn - 0.02);
     }
+}
+
+namespace
+{
+
+/** FNV-1a over the little-endian bytes of 64-bit words. */
+class Fnv1a
+{
+  public:
+    void
+    add(std::uint64_t value)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash_ ^= (value >> (8 * byte)) & 0xff;
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/** Digest of the first @p batches draws: each batch's size, then its
+ *  rows. */
+std::uint64_t
+drawDigest(CandidateTrace &trace, int batches)
+{
+    Fnv1a digest;
+    for (int batch = 0; batch < batches; ++batch) {
+        const std::vector<std::uint64_t> rows = trace.drawCandidates();
+        digest.add(rows.size());
+        for (const std::uint64_t row : rows)
+            digest.add(row);
+    }
+    return digest.value();
+}
+
+/** Digest of the bit patterns of hotness(c) over every category. */
+std::uint64_t
+hotnessDigest(const CandidateTrace &trace)
+{
+    Fnv1a digest;
+    for (std::uint64_t c = 0; c < trace.spec().categories; ++c) {
+        const double hotness = trace.hotness(c);
+        std::uint64_t bits;
+        std::memcpy(&bits, &hotness, sizeof bits);
+        digest.add(bits);
+    }
+    return digest.value();
+}
+
+/** The hot head a batch must contain, sorted. */
+std::vector<std::uint64_t>
+sortedHotHead(const CandidateTrace &trace, std::uint64_t want)
+{
+    std::vector<std::uint64_t> head;
+    const std::uint64_t hot = std::min(trace.hotSetSize(), want);
+    for (std::uint64_t rank = 0; rank < hot; ++rank)
+        head.push_back(trace.categoryAtRank(rank));
+    std::sort(head.begin(), head.end());
+    return head;
+}
+
+std::uint64_t
+budgetOf(const BenchmarkSpec &spec)
+{
+    return std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               static_cast<double>(spec.categories)
+               * spec.candidateRatio));
+}
+
+/** Every batch: exactly the budget, sorted, unique, in range, and a
+ *  superset of the hot head. */
+void
+expectBatchInvariants(CandidateTrace &trace, int batches)
+{
+    const BenchmarkSpec &spec = trace.spec();
+    const std::uint64_t want = budgetOf(spec);
+    const std::vector<std::uint64_t> head = sortedHotHead(trace, want);
+    for (int batch = 0; batch < batches; ++batch) {
+        SCOPED_TRACE(batch);
+        const std::vector<std::uint64_t> rows = trace.drawCandidates();
+        ASSERT_EQ(rows.size(), want);
+        EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+        EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end()),
+                  rows.end());
+        EXPECT_LT(rows.back(), spec.categories);
+        EXPECT_TRUE(std::includes(rows.begin(), rows.end(),
+                                  head.begin(), head.end()));
+    }
+}
+
+BenchmarkSpec
+edgeSpec(std::uint64_t categories, double candidate_ratio)
+{
+    BenchmarkSpec spec = benchmarkByName("XMLCNN-S10M");
+    spec.categories = categories;
+    spec.candidateRatio = candidate_ratio;
+    return spec;
+}
+
+} // namespace
+
+TEST(CandidateTraceGolden, DrawsAndHotnessMatchPinnedDigests)
+{
+    // Pinned from the hash-set draw and binary-search hotness that
+    // the merge-based draw and sticky bitmap replaced: the first six
+    // batches and hotness over every category must stay bit
+    // identical, RNG stream included.
+    struct Golden
+    {
+        std::uint64_t cap;
+        std::uint64_t seed;
+        double noise;
+        std::uint64_t draws;
+        std::uint64_t hotness;
+    };
+    const Golden goldens[] = {
+        {1ULL << 16, 1, 0.0, 0x26dd65d2eccc5c92ULL, 0x7e4c7674fe4f963aULL},
+        {1ULL << 16, 1, 0.25, 0x26dd65d2eccc5c92ULL, 0x78a1213475083c07ULL},
+        {1ULL << 16, 7, 0.0, 0xbdb16e06bf587405ULL, 0x1a258a15868ae8e6ULL},
+        {1ULL << 16, 7, 0.25, 0xbdb16e06bf587405ULL, 0xccfc37949d8b576bULL},
+        {1ULL << 20, 1, 0.0, 0x6fc3d9ddd87f8e15ULL, 0x4defb82efe11aa80ULL},
+        {1ULL << 20, 1, 0.25, 0x6fc3d9ddd87f8e15ULL, 0x27a73c5239e3ef05ULL},
+        {1ULL << 20, 7, 0.0, 0x552b1018bcca75e7ULL, 0xedc1ea641602649aULL},
+        {1ULL << 20, 7, 0.25, 0x552b1018bcca75e7ULL, 0x16b81a1294c04e3eULL},
+    };
+    for (const Golden &golden : goldens) {
+        SCOPED_TRACE(testing::Message()
+                     << "cap " << golden.cap << " seed " << golden.seed
+                     << " noise " << golden.noise);
+        const BenchmarkSpec spec =
+            scaledDown(benchmarkByName("XMLCNN-S10M"), golden.cap);
+        CandidateTrace trace(spec, golden.seed, golden.noise);
+        EXPECT_EQ(hotnessDigest(trace), golden.hotness);
+        EXPECT_EQ(drawDigest(trace, 6), golden.draws);
+        // Drawing must not disturb the hotness oracle.
+        EXPECT_EQ(hotnessDigest(trace), golden.hotness);
+    }
+}
+
+TEST(CandidateTraceGolden, EdgeShapesMatchPinnedDigests)
+{
+    // Same provenance as above, seed 1, predictor noise 0.25: a
+    // one-row budget with no hot head (L = 2, 3), a budget of every
+    // row (candidateRatio 1), and half the rows.
+    struct Golden
+    {
+        std::uint64_t categories;
+        double ratio;
+        std::uint64_t draws;
+        std::uint64_t hotness;
+    };
+    const Golden goldens[] = {
+        {2, 0.1, 0x60bcd4d882f881e5ULL, 0x3d42e02f2e90a666ULL},
+        {3, 0.1, 0xb7df595f73390365ULL, 0xcc3f99f074ec03a2ULL},
+        {1000, 1.0, 0xbbe19dc8f5a00a75ULL, 0x422b0efb93f97456ULL},
+        {4099, 1.0, 0x763db6c611557d65ULL, 0x2a50edfd6979fccdULL},
+        {1000, 0.5, 0x25e51a67d7e96b09ULL, 0x3f321c5b9b53abeeULL},
+    };
+    for (const Golden &golden : goldens) {
+        SCOPED_TRACE(testing::Message() << "L " << golden.categories
+                                        << " ratio " << golden.ratio);
+        const BenchmarkSpec spec =
+            edgeSpec(golden.categories, golden.ratio);
+        CandidateTrace trace(spec, 1, 0.25);
+        EXPECT_EQ(drawDigest(trace, 6), golden.draws);
+        EXPECT_EQ(hotnessDigest(trace), golden.hotness);
+        CandidateTrace replay(spec, 1, 0.25);
+        expectBatchInvariants(replay, 6);
+    }
+}
+
+TEST(CandidateTrace, CandidatesAreSortedAndUnique)
+{
+    // Every batch is exactly the budget, sorted and unique, and holds
+    // the whole hot head.
+    for (const std::uint64_t seed : {8ULL, 1ULL, 7ULL}) {
+        SCOPED_TRACE(seed);
+        CandidateTrace trace(
+            scaledDown(benchmarkByName("XMLCNN-S10M"), 10000), seed);
+        expectBatchInvariants(trace, 6);
+    }
+}
+
+TEST(CandidateTrace, SameSeedDrawsTheSameSequence)
+{
+    const BenchmarkSpec spec =
+        scaledDown(benchmarkByName("XMLCNN-S10M"), 1 << 14);
+    CandidateTrace a(spec, 3);
+    CandidateTrace b(spec, 3);
+    for (int batch = 0; batch < 5; ++batch)
+        EXPECT_EQ(a.drawCandidates(), b.drawCandidates())
+            << "batch " << batch;
+}
+
+TEST(CandidateTrace, FewerThanTwoCategoriesIsFatal)
+{
+    for (const std::uint64_t categories : {0ULL, 1ULL})
+        EXPECT_THROW(CandidateTrace(edgeSpec(categories, 0.1), 1),
+                     ecssd::sim::FatalError)
+            << categories << " categories";
 }

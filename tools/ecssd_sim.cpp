@@ -10,8 +10,9 @@
  *
  * Options:
  *   --benchmark NAME      Table 3 benchmark (see --list)
- *   --scale N             cap the category count at N
- *   --batches N           inference batches to simulate (default 2)
+ *   --scale N             cap the category count at N (N >= 2)
+ *   --batches N           inference batches to simulate (default 2,
+ *                         N >= 1)
  *   --layout KIND         sequential | uniform | learning
  *   --mac KIND            naive | skhynix | alignment-free
  *   --int4 PLACE          dram | flash
@@ -704,12 +705,18 @@ run(int argc, char **argv)
         } else if (arg == "--benchmark") {
             cli.benchmark = next("--benchmark");
         } else if (arg == "--scale") {
-            cli.scale = std::strtoull(next("--scale").c_str(),
-                                      nullptr, 10);
+            const std::string value = next("--scale");
+            cli.scale = std::strtoull(value.c_str(), nullptr, 10);
+            if (cli.scale < 2)
+                sim::fatal("--scale needs at least 2 categories, got '",
+                           value, "'");
         } else if (arg == "--batches") {
+            const std::string value = next("--batches");
             cli.batches = static_cast<unsigned>(
-                std::strtoul(next("--batches").c_str(), nullptr,
-                             10));
+                std::strtoul(value.c_str(), nullptr, 10));
+            if (cli.batches == 0)
+                sim::fatal("--batches needs at least 1 batch, got '",
+                           value, "'");
         } else if (arg == "--layout") {
             cli.device.layoutKind = parseLayout(next("--layout"));
         } else if (arg == "--mac") {
