@@ -15,7 +15,11 @@
  * scalar LUT, one entry per (kernel, ISA level) with the planned row
  * chunk, query tile, and pool threads recorded alongside, and the
  * host's hardware thread count in the config (the pool never runs
- * more threads than that).  Unlike BENCH_e2e/BENCH_breakdown these
+ * more threads than that).  A second section times the alignment-free
+ * CFP32 re-rank dot (signFoldedDot over flat sign-folded rows) at the
+ * serving re-rank shape, per ISA level, against its scalar arm; the
+ * config records the host's CPU model and the compiler so a trend can
+ * be read per host.  Unlike BENCH_e2e/BENCH_breakdown these
  * numbers are *wall clock* — they are uploaded for trend inspection,
  * never diffed as a CI gate.  Every measured pass is first checked
  * byte-identical against the scalar reference; a divergence aborts
@@ -26,6 +30,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -33,8 +38,10 @@
 #include <vector>
 
 #include "numeric/autotune.hh"
+#include "numeric/cfp32.hh"
 #include "numeric/int4.hh"
 #include "numeric/kernels.hh"
+#include "numeric/mac.hh"
 #include "numeric/matrix.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -52,6 +59,11 @@ constexpr std::size_t kRows = 268000;
 constexpr std::size_t kCols = 64;
 constexpr unsigned kPoolThreads = 8;
 constexpr std::size_t kBatchQueries = 8;
+
+/** The serving re-rank shape: the CFP32 rows of serve-steady's
+ *  16384-category, D = 256 model. */
+constexpr std::size_t kRerankRows = 16384;
+constexpr std::size_t kRerankCols = 256;
 
 /** Host hardware threads (at least 1). */
 unsigned
@@ -165,6 +177,59 @@ batchPass(const Inputs &in, const BatchInputs &batch, IsaLevel isa,
                               isa);
 }
 
+/** Pre-aligned re-rank inputs: flat sign-folded rows plus their
+ *  shared exponents, and one folded query (the CandidateClassifier
+ *  layout). */
+struct RerankInputs
+{
+    std::vector<Cfp32Vector> rows;
+    Cfp32Vector query;
+    std::vector<std::int32_t> flat;
+    std::vector<std::uint32_t> exponents;
+    std::vector<std::int32_t> foldedQuery;
+
+    RerankInputs()
+        : flat(kRerankRows * kRerankCols), exponents(kRerankRows),
+          foldedQuery(kRerankCols)
+    {
+        sim::Rng rng(2);
+        std::vector<float> values(kRerankCols);
+        for (std::size_t r = 0; r < kRerankRows; ++r) {
+            for (float &v : values)
+                v = static_cast<float>(rng.gaussian(0.0, 1.0));
+            rows.push_back(Cfp32Vector::preAlign(values));
+            rows.back().signFoldInto(flat.data() + r * kRerankCols);
+            exponents[r] = rows.back().sharedExponent();
+        }
+        for (float &v : values)
+            v = static_cast<float>(rng.gaussian(0.0, 1.0));
+        query = Cfp32Vector::preAlign(values);
+        query.signFoldInto(foldedQuery.data());
+    }
+};
+
+RerankInputs &
+rerankInputs()
+{
+    static RerankInputs shared;
+    return shared;
+}
+
+/** Score every re-rank row at @p isa (the re-rank inner loop). */
+void
+rerankPass(const RerankInputs &in, IsaLevel isa,
+           std::vector<double> &out)
+{
+    for (std::size_t r = 0; r < kRerankRows; ++r) {
+        const Int128 acc =
+            signFoldedDot(in.flat.data() + r * kRerankCols,
+                          in.foldedQuery.data(), kRerankCols, isa);
+        out[r] = std::ldexp(static_cast<double>(acc),
+                            cfp32DotExponent(in.exponents[r],
+                                             in.query.sharedExponent()));
+    }
+}
+
 void
 BM_ScreenerScalar(benchmark::State &state)
 {
@@ -220,12 +285,30 @@ BM_ScreenerBatchLut(benchmark::State &state, IsaLevel isa)
         state.iterations() * kRows * kBatchQueries));
 }
 
-/** Register the per-ISA variants of every LUT benchmark. */
+void
+BM_AlignmentFreeDot(benchmark::State &state, IsaLevel isa)
+{
+    const RerankInputs &in = rerankInputs();
+    std::vector<double> out(kRerankRows);
+    for (auto _ : state) {
+        rerankPass(in, isa, out);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * kRerankRows));
+}
+
+/** Register the per-ISA variants of every kernel benchmark. */
 void
 registerIsaBenchmarks()
 {
     for (const IsaLevel isa : supportedIsaLevels()) {
         const std::string suffix = toString(isa);
+        benchmark::RegisterBenchmark(
+            ("BM_AlignmentFreeDot/" + suffix).c_str(),
+            [isa](benchmark::State &state) {
+                BM_AlignmentFreeDot(state, isa);
+            });
         benchmark::RegisterBenchmark(
             ("BM_ScreenerLut/" + suffix).c_str(),
             [isa](benchmark::State &state) {
@@ -277,6 +360,66 @@ struct Entry
     /** Rows scored per pass (kRows, or kRows * queries batched). */
     double rowsPerPass = 0.0;
 };
+
+/** The host CPU's model name ("unknown" where /proc/cpuinfo has
+ *  none). */
+std::string
+cpuModel()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
+/** One measured alignment-free dot level. */
+struct RerankEntry
+{
+    std::string isa;
+    double wallMs = 0.0;
+};
+
+/**
+ * Time the alignment-free dot at every supported level.  Fatal when
+ * the scalar arm disagrees with the AlignmentFreeMac oracle or any
+ * level with the scalar arm.
+ */
+std::vector<RerankEntry>
+measureRerank(unsigned repeats)
+{
+    const RerankInputs &in = rerankInputs();
+    std::vector<double> reference(kRerankRows);
+    std::vector<double> out(kRerankRows);
+    rerankPass(in, IsaLevel::Scalar, reference);
+    for (std::size_t r = 0; r < kRerankRows; ++r)
+        if (reference[r]
+            != AlignmentFreeMac::dot(in.rows[r], in.query).value)
+            sim::fatal("signFoldedDot at isa=scalar diverges from "
+                       "AlignmentFreeMac::dot at row ",
+                       r, "; refusing to record a speedup");
+    std::vector<RerankEntry> entries;
+    for (const IsaLevel isa : supportedIsaLevels()) {
+        rerankPass(in, isa, out);
+        for (std::size_t r = 0; r < kRerankRows; ++r)
+            if (out[r] != reference[r])
+                sim::fatal("signFoldedDot at isa=", toString(isa),
+                           " diverges from the scalar reference at "
+                           "row ",
+                           r, "; refusing to record a speedup");
+        RerankEntry entry;
+        entry.isa = toString(isa);
+        entry.wallMs =
+            bestMs(repeats, [&] { rerankPass(in, isa, out); });
+        entries.push_back(entry);
+    }
+    return entries;
+}
 
 void
 writeBaseline(const std::string &out_dir)
@@ -361,6 +504,7 @@ writeBaseline(const std::string &out_dir)
             static_cast<double>(kRows * kBatchQueries);
         entries.push_back(batched);
     }
+    const std::vector<RerankEntry> rerank = measureRerank(kRepeats);
 
     const std::string path = out_dir + "/BENCH_kernels.json";
     std::ofstream os(path);
@@ -382,6 +526,14 @@ writeBaseline(const std::string &out_dir)
     json.value(static_cast<std::uint64_t>(kBatchQueries));
     json.key("best_isa");
     json.value(toString(detectBestIsa()));
+    json.key("cpu_model");
+    json.value(cpuModel());
+    json.key("compiler");
+#if defined(__clang__)
+    json.value(std::string("clang ") + __clang_version__);
+#else
+    json.value(std::string("gcc ") + __VERSION__);
+#endif
     json.endObject();
     json.key("entries");
     json.beginArray();
@@ -412,6 +564,30 @@ writeBaseline(const std::string &out_dir)
         json.endObject();
     }
     json.endArray();
+    json.key("alignment_free_dot");
+    json.beginObject();
+    json.key("rows");
+    json.value(static_cast<std::uint64_t>(kRerankRows));
+    json.key("cols");
+    json.value(static_cast<std::uint64_t>(kRerankCols));
+    json.key("entries");
+    json.beginArray();
+    const double rerank_scalar_ms = rerank.front().wallMs;
+    for (const RerankEntry &entry : rerank) {
+        json.beginObject();
+        json.key("isa");
+        json.value(entry.isa);
+        json.key("wall_ms");
+        json.value(entry.wallMs);
+        json.key("rows_per_sec");
+        json.value(static_cast<double>(kRerankRows)
+                   / (entry.wallMs / 1e3));
+        json.key("speedup_vs_scalar");
+        json.value(rerank_scalar_ms / entry.wallMs);
+        json.endObject();
+    }
+    json.endArray();
+    json.endObject();
     json.endObject();
     os << "\n";
 
@@ -420,9 +596,11 @@ writeBaseline(const std::string &out_dir)
         if (entry.name == "lut_1t")
             best_lut_ms = std::min(best_lut_ms, entry.wallMs);
     std::printf("wrote %s (scalar %.2f ms, scalar-lut %.2f ms, best "
-                "simd lut %.2f ms, simd-vs-lut %.2fx)\n",
+                "simd lut %.2f ms, simd-vs-lut %.2fx; alignment-free "
+                "dot scalar %.2f ms, %s %.2f ms)\n",
                 path.c_str(), scalar_ms, lut_scalar_ms, best_lut_ms,
-                lut_scalar_ms / best_lut_ms);
+                lut_scalar_ms / best_lut_ms, rerank_scalar_ms,
+                rerank.back().isa.c_str(), rerank.back().wallMs);
 }
 
 } // namespace

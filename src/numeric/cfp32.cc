@@ -22,6 +22,14 @@ Cfp32Vector
 Cfp32Vector::preAlign(std::span<const float> values, IsaLevel level)
 {
     Cfp32Vector out;
+    preAlignInto(values, level, out);
+    return out;
+}
+
+void
+Cfp32Vector::preAlignInto(std::span<const float> values,
+                          IsaLevel level, Cfp32Vector &out)
+{
     out.elements_.resize(values.size());
 
     // Pass 1: the vector-wise maximum exponent (fatal on NaN/Inf).
@@ -34,13 +42,22 @@ Cfp32Vector::preAlign(std::span<const float> values, IsaLevel level)
         values, out.sharedExponent_,
         reinterpret_cast<std::uint32_t *>(out.elements_.data()),
         level);
-    return out;
 }
 
 Cfp32Vector
 Cfp32Vector::preAlign(std::span<const float> values)
 {
     return preAlign(values, activeIsa());
+}
+
+void
+Cfp32Vector::signFoldInto(std::int32_t *out) const
+{
+    for (std::size_t i = 0; i < elements_.size(); ++i) {
+        const auto magnitude =
+            static_cast<std::int32_t>(elements_[i].significand);
+        out[i] = elements_[i].sign ? -magnitude : magnitude;
+    }
 }
 
 float

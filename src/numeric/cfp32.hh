@@ -104,11 +104,40 @@ class Cfp32Vector
     static Cfp32Vector preAlign(std::span<const float> values,
                                 IsaLevel level);
 
+    /**
+     * preAlign() into an existing vector, reusing its element storage
+     * (a row loop pre-aligns through one buffer, not one allocation
+     * per row).
+     */
+    static void preAlignInto(std::span<const float> values,
+                             IsaLevel level, Cfp32Vector &out);
+
+    /**
+     * Write each element as one signed integer, +/-significand, into
+     * @p out (size() values): the operand layout of the
+     * signFoldedDot() kernel.  Exact, since significands are below
+     * 2^31.
+     */
+    void signFoldInto(std::int32_t *out) const;
+
   private:
     std::uint32_t sharedExponent_ = 0;
     std::vector<Cfp32Element> elements_;
     std::uint64_t lossyElements_ = 0;
 };
+
+/**
+ * The binary scale of an alignment-free CFP32 dot: each significand
+ * is m * 2^(E - bias - 23 - 7), so the integer product sum of vectors
+ * with shared exponents @p ea and @p eb is scaled by 2^result.
+ */
+constexpr int
+cfp32DotExponent(std::uint32_t ea, std::uint32_t eb)
+{
+    return static_cast<int>(ea) + static_cast<int>(eb)
+        - 2 * fp32ExponentBias
+        - 2 * (fp32MantissaBits + cfp32CompensationBits);
+}
 
 /**
  * Fraction of elements across @p vectors that survive pre-alignment

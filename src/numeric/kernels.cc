@@ -1042,6 +1042,133 @@ cfp16AlignSpan(std::span<const float> values, std::uint32_t emax,
 }
 
 // ==================================================================
+// Alignment-free CFP32 dot
+// ==================================================================
+//
+// Operands are sign-folded CFP32 significands, |x| <= 2^31 - 1, so a
+// product is below 2^62 in magnitude and the sum of two products is
+// below 2^63: one even/odd pair sum is exact in an int64 lane.  The
+// vector levels split each pair sum s into hi = s >> 32 (arithmetic,
+// |hi| <= 2^31) and lo = s & 0xffffffff (< 2^32) and add the halves
+// into separate int64 lanes.  With n < 2^31 there are fewer than 2^30
+// pair sums in all, so the lane totals stay below 2^61 (hi) and 2^62
+// (lo) and even their horizontal sums cannot overflow; the exact
+// integer is then hi * 2^32 + lo, formed once in 128 bits.  Integer
+// addition is associative, so that is the scalar reference's
+// accumulator to the last bit, and so is every ldexp() built on it.
+
+namespace
+{
+
+constexpr Int128 kTwo32 = Int128{1} << 32;
+
+Int128
+signFoldedDotScalar(const std::int32_t *a, const std::int32_t *b,
+                    std::size_t n, std::size_t begin, Int128 acc)
+{
+    for (std::size_t i = begin; i < n; ++i)
+        acc += static_cast<std::int64_t>(a[i]) * b[i];
+    return acc;
+}
+
+#if ECSSD_KERNELS_X86
+
+__attribute__((target("avx2"))) Int128
+signFoldedDotAvx2(const std::int32_t *a, const std::int32_t *b,
+                  std::size_t n)
+{
+    const __m256i low_mask = _mm256_set1_epi64x(0xffffffffLL);
+    __m256i hi = _mm256_setzero_si256();
+    __m256i lo = _mm256_setzero_si256();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256i va = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(a + i));
+        const __m256i vb = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(b + i));
+        // pmuldq multiplies the even dwords as signed; the odd ones
+        // are shifted down into place first.
+        const __m256i pair = _mm256_add_epi64(
+            _mm256_mul_epi32(va, vb),
+            _mm256_mul_epi32(_mm256_srli_epi64(va, 32),
+                             _mm256_srli_epi64(vb, 32)));
+        // No 64-bit arithmetic shift below AVX-512: move the high
+        // dword down logically and refill the upper dword with the
+        // sign (srai by 31 of the high dword).
+        const __m256i high = _mm256_blend_epi32(
+            _mm256_srli_epi64(pair, 32), _mm256_srai_epi32(pair, 31),
+            0xaa);
+        hi = _mm256_add_epi64(hi, high);
+        lo = _mm256_add_epi64(lo, _mm256_and_si256(pair, low_mask));
+    }
+    alignas(32) std::int64_t his[4];
+    alignas(32) std::int64_t los[4];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(his), hi);
+    _mm256_store_si256(reinterpret_cast<__m256i *>(los), lo);
+    const std::int64_t hi_sum = his[0] + his[1] + his[2] + his[3];
+    const std::int64_t lo_sum = los[0] + los[1] + los[2] + los[3];
+    return signFoldedDotScalar(a, b, n, i,
+                               Int128{hi_sum} * kTwo32 + lo_sum);
+}
+
+/**
+ * The zero-masking forms under a full mask compile to the plain
+ * instructions; the unmasked intrinsics pass an _mm512_undefined_*()
+ * operand that GCC 12 reports as maybe-uninitialized.
+ */
+__attribute__((target("avx512f"))) Int128
+signFoldedDotAvx512(const std::int32_t *a, const std::int32_t *b,
+                    std::size_t n)
+{
+    const __mmask8 all = 0xff;
+    const __m512i low_mask = _mm512_set1_epi64(0xffffffffLL);
+    __m512i hi = _mm512_setzero_si512();
+    __m512i lo = _mm512_setzero_si512();
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        const __m512i va = _mm512_loadu_si512(a + i);
+        const __m512i vb = _mm512_loadu_si512(b + i);
+        const __m512i pair = _mm512_add_epi64(
+            _mm512_maskz_mul_epi32(all, va, vb),
+            _mm512_maskz_mul_epi32(all,
+                                   _mm512_maskz_srli_epi64(all, va, 32),
+                                   _mm512_maskz_srli_epi64(all, vb, 32)));
+        hi = _mm512_add_epi64(hi,
+                              _mm512_maskz_srai_epi64(all, pair, 32));
+        lo = _mm512_add_epi64(lo, _mm512_and_si512(pair, low_mask));
+    }
+    alignas(64) std::int64_t his[8];
+    alignas(64) std::int64_t los[8];
+    _mm512_store_si512(his, hi);
+    _mm512_store_si512(los, lo);
+    std::int64_t hi_sum = 0;
+    std::int64_t lo_sum = 0;
+    for (int j = 0; j < 8; ++j) {
+        hi_sum += his[j];
+        lo_sum += los[j];
+    }
+    return signFoldedDotScalar(a, b, n, i,
+                               Int128{hi_sum} * kTwo32 + lo_sum);
+}
+
+#endif // ECSSD_KERNELS_X86
+
+} // namespace
+
+Int128
+signFoldedDot(const std::int32_t *a, const std::int32_t *b,
+              std::size_t n, [[maybe_unused]] IsaLevel level)
+{
+#if ECSSD_KERNELS_X86
+    if (level == IsaLevel::Avx512)
+        return signFoldedDotAvx512(a, b, n);
+    if (level == IsaLevel::Avx2)
+        return signFoldedDotAvx2(a, b, n);
+#endif
+    return signFoldedDotScalar(a, b, n, 0, 0);
+}
+
+// ==================================================================
 // INT4 LUT kernels
 // ==================================================================
 

@@ -3,12 +3,12 @@
  * Runtime-dispatched SIMD host kernels.
  *
  * Every hot host-compute kernel (INT4 LUT screening, quantization,
- * the projection GEMV, the FP32 pairwise-tree dot, CFP pre-alignment)
- * exists at three ISA levels:
+ * the projection GEMV, the FP32 pairwise-tree dot, CFP pre-alignment,
+ * the alignment-free CFP32 dot) exists at three ISA levels:
  *
  *   scalar  — the reference loops every other level must reproduce;
  *             also the fallback on hosts without AVX2.
- *   avx2    — 256-bit integer (pmaddwd) and FP paths.
+ *   avx2    — 256-bit integer (pmaddwd, pmuldq) and FP paths.
  *   avx512  — 512-bit paths (requires AVX-512 F/BW/VL).
  *
  * Each entry point below is the one place that branches on the
@@ -178,6 +178,23 @@ std::uint32_t cfp16MaxExponent(std::span<const float> values,
 std::uint64_t cfp16AlignSpan(std::span<const float> values,
                              std::uint32_t emax, std::uint16_t *out,
                              IsaLevel level);
+
+// --- Alignment-free CFP32 dot (exact integer accumulation) --------
+
+/** The exact accumulator width of the alignment-free MAC. */
+__extension__ typedef __int128 Int128;
+
+/**
+ * The integer core of the alignment-free MAC (AlignmentFreeMac::dot)
+ * over sign-folded CFP32 significands (Cfp32Vector::signFoldInto):
+ * returns sum_i a[i] * b[i] exactly.  Every operand satisfies
+ * |x| <= 2^31 - 1, so each product is exact in int64; the vector
+ * levels split pair sums into high and low 32-bit halves kept in
+ * separate int64 lanes and combine them once in 128 bits, so every
+ * level returns the scalar reference's integer.  @p n < 2^31.
+ */
+Int128 signFoldedDot(const std::int32_t *a, const std::int32_t *b,
+                     std::size_t n, IsaLevel level);
 
 // --- INT4 LUT kernels (exact integer accumulation) ----------------
 

@@ -129,14 +129,14 @@ AlignmentFreeMac::dot(const Cfp32Vector &a, const Cfp32Vector &b)
         return result;
 
     // Pure integer datapath: 31x31 multiply, 2's-complement
-    // accumulate.  62-bit products over <= 2^16 elements fit a 128-bit
-    // accumulator with room to spare.
+    // accumulate.  62-bit products over < 2^31 elements fit a 128-bit
+    // accumulator with room to spare.  This loop is the datapath
+    // model and the test oracle; the re-rank runs the same integer
+    // through the dispatched signFoldedDot() kernel.
     __int128 acc = 0;
     for (std::size_t i = 0; i < a.size(); ++i) {
         const Cfp32Element &ea = a[i];
         const Cfp32Element &eb = b[i];
-        result.ops.mantissaMultiplies += 1;
-        result.ops.mantissaAdds += 1;
         const __int128 product =
             static_cast<__int128>(
                 static_cast<std::uint64_t>(ea.significand)
@@ -144,13 +144,15 @@ AlignmentFreeMac::dot(const Cfp32Vector &a, const Cfp32Vector &b)
         acc += (ea.sign ^ eb.sign) ? -product : product;
     }
 
-    result.ops.normalizations += 1;
-    // Each significand is m * 2^(E - bias - 23 - 7); the product scale
-    // therefore uses both shared exponents.
-    const int exp2 = static_cast<int>(a.sharedExponent())
-        + static_cast<int>(b.sharedExponent()) - 2 * fp32ExponentBias
-        - 2 * (fp32MantissaBits + cfp32CompensationBits);
-    result.value = std::ldexp(static_cast<double>(acc), exp2);
+    // Micro-op counts in closed form: one integer multiply and one
+    // accumulate per element, then a single final normalization (the
+    // scale by both shared exponents).
+    result.ops.mantissaMultiplies = a.size();
+    result.ops.mantissaAdds = a.size();
+    result.ops.normalizations = 1;
+    result.value = std::ldexp(
+        static_cast<double>(acc),
+        cfp32DotExponent(a.sharedExponent(), b.sharedExponent()));
     return result;
 }
 

@@ -215,12 +215,19 @@ CandidateClassifier::ensureAligned() const
 {
     if (aligned_)
         return;
-    alignedRows_.resize(weights_.rows());
+    const std::size_t cols = weights_.cols();
+    alignedFlat_.resize(weights_.rows() * cols);
+    alignedExponents_.resize(weights_.rows());
     const auto align_rows = [&](std::size_t row_begin,
                                 std::size_t row_end) {
-        for (std::size_t r = row_begin; r < row_end; ++r)
-            alignedRows_[r] =
-                numeric::Cfp32Vector::preAlign(weights_.row(r));
+        // One row buffer per chunk, refilled for every row.
+        numeric::Cfp32Vector row;
+        for (std::size_t r = row_begin; r < row_end; ++r) {
+            numeric::Cfp32Vector::preAlignInto(weights_.row(r), isa_,
+                                               row);
+            row.signFoldInto(alignedFlat_.data() + r * cols);
+            alignedExponents_[r] = row.sharedExponent();
+        }
     };
     if (pool_)
         pool_->parallelFor(0, weights_.rows(), kAlignGrain,
@@ -258,6 +265,15 @@ CandidateClassifier::scores(std::span<const float> feature,
                             std::span<const std::uint64_t> candidates,
                             Datapath datapath) const
 {
+    const std::size_t cols = weights_.cols();
+    if (feature.size() != cols)
+        sim::fatal("candidate re-rank: the feature has ", feature.size(),
+                   " values but the weights have ", cols, " columns");
+    for (const std::uint64_t row : candidates)
+        if (row >= weights_.rows())
+            sim::fatal("candidate re-rank: candidate row ", row,
+                       " is out of range (", weights_.rows(),
+                       " categories)");
     std::vector<double> out(candidates.size());
 
     // Each candidate's MAC is computed exactly as in the serial loop
@@ -300,13 +316,24 @@ CandidateClassifier::scores(std::span<const float> feature,
         return out;
     }
 
+    // The alignment-free MAC of AlignmentFreeMac::dot, as the exact
+    // dispatched integer kernel over the flat sign-folded rows: the
+    // query is pre-aligned and sign-folded once per call.
     ensureAligned();
     const numeric::Cfp32Vector aligned_feature =
-        numeric::Cfp32Vector::preAlign(feature);
+        numeric::Cfp32Vector::preAlign(feature, isa_);
+    std::vector<std::int32_t> folded_feature(cols);
+    aligned_feature.signFoldInto(folded_feature.data());
+    const std::uint32_t feature_exponent =
+        aligned_feature.sharedExponent();
     run([&](std::uint64_t row) {
-        return numeric::AlignmentFreeMac::dot(alignedRows_[row],
-                                              aligned_feature)
-            .value;
+        const numeric::Int128 acc = numeric::signFoldedDot(
+            alignedFlat_.data() + row * cols, folded_feature.data(),
+            cols, isa_);
+        return std::ldexp(static_cast<double>(acc),
+                          numeric::cfp32DotExponent(
+                              alignedExponents_[row],
+                              feature_exponent));
     });
     return out;
 }

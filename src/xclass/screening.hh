@@ -196,6 +196,10 @@ class CandidateClassifier
     /**
      * Score @p candidates against @p feature.
      *
+     * Fatal (sim::FatalError) when @p feature's width differs from
+     * the weights' columns or a candidate names a row past the last
+     * category; both are checked before any row is read.
+     *
      * @return Scores parallel to @p candidates.
      */
     std::vector<double> scores(
@@ -207,11 +211,15 @@ class CandidateClassifier
     const numeric::FloatMatrix &weights_;
     sim::ThreadPool *pool_ = nullptr;
     // ISA level captured at construction so every re-rank in this
-    // classifier's lifetime runs the same FP32 kernel.
+    // classifier's lifetime runs the same kernels.
     numeric::IsaLevel isa_ = numeric::IsaLevel::Scalar;
-    // Per-row pre-aligned weights, built lazily on first
-    // alignment-free use (the offline Pre_align() of the weights).
-    mutable std::vector<numeric::Cfp32Vector> alignedRows_;
+    // The pre-aligned weights (the offline Pre_align()), built lazily
+    // on first CFP32 use: one flat row-major L x D array of
+    // sign-folded significands plus one shared exponent per row —
+    // L*D*4 B in one allocation, down from ~L*D*8 B of (sign,
+    // significand) pairs in one heap vector per row.
+    mutable std::vector<std::int32_t> alignedFlat_;
+    mutable std::vector<std::uint32_t> alignedExponents_;
     mutable bool aligned_ = false;
     mutable std::vector<numeric::Cfp16Vector> alignedRows16_;
     mutable bool aligned16_ = false;

@@ -9,7 +9,10 @@
  * have to meet).  Shapes cover cols = 1, odd, even, zero rows,
  * saturated nibbles, and the int64-fallback boundary near
  * 0x7fffffff / 49 columns where the int32 SIMD accumulators sit one
- * product away from overflow.
+ * product away from overflow.  The alignment-free CFP32 dot is
+ * checked against its scalar arm and the AlignmentFreeMac oracle,
+ * up to saturated operands that load its high/low lanes to the
+ * bound.
  */
 
 #include <gtest/gtest.h>
@@ -533,4 +536,112 @@ TEST(KernelsDifferential, Fp32CheckedInGolden)
     for (const IsaLevel isa : levels())
         EXPECT_EQ(matrix.rawDotRowLut(0, widened, isa), int_golden)
             << toString(isa);
+}
+
+namespace
+{
+
+/** Sign-fold @p v (the signFoldedDot operand layout). */
+std::vector<std::int32_t>
+folded(const Cfp32Vector &v)
+{
+    std::vector<std::int32_t> out(v.size());
+    v.signFoldInto(out.data());
+    return out;
+}
+
+/**
+ * Assert signFoldedDot() of the pre-aligned @p a, @p b returns the
+ * scalar integer at every supported level, and that the scaled value
+ * has AlignmentFreeMac::dot()'s bits.
+ */
+void
+expectSignFoldedDotAgrees(const Cfp32Vector &a, const Cfp32Vector &b,
+                          const std::string &label)
+{
+    ASSERT_EQ(a.size(), b.size());
+    const std::vector<std::int32_t> fa = folded(a);
+    const std::vector<std::int32_t> fb = folded(b);
+    const Int128 ref =
+        signFoldedDot(fa.data(), fb.data(), fa.size(), IsaLevel::Scalar);
+    const double oracle = AlignmentFreeMac::dot(a, b).value;
+    for (const IsaLevel isa : levels()) {
+        SCOPED_TRACE(label + " isa=" + toString(isa));
+        const Int128 got =
+            signFoldedDot(fa.data(), fb.data(), fa.size(), isa);
+        EXPECT_TRUE(got == ref)
+            << "high " << static_cast<std::int64_t>(got >> 64)
+            << " low " << static_cast<std::uint64_t>(got);
+        const double value = std::ldexp(
+            static_cast<double>(got),
+            cfp32DotExponent(a.sharedExponent(), b.sharedExponent()));
+        std::uint64_t gv = 0, ov = 0;
+        std::memcpy(&gv, &value, sizeof(gv));
+        std::memcpy(&ov, &oracle, sizeof(ov));
+        EXPECT_EQ(gv, ov);
+    }
+}
+
+} // namespace
+
+TEST(KernelsDifferential, AlignmentFreeDotAllLevelsByteIdentical)
+{
+    // Lengths straddle the 8- and 16-lane blocking and its tails.
+    for (const std::size_t n : {1ull, 7ull, 15ull, 16ull, 17ull, 255ull,
+                                256ull, 1024ull, 4099ull}) {
+        for (const std::uint64_t seed : {5ull, 29ull}) {
+            // Mixed signs and magnitudes.
+            const Cfp32Vector a =
+                Cfp32Vector::preAlign(randomVector(n, seed));
+            const Cfp32Vector b =
+                Cfp32Vector::preAlign(randomVector(n, seed + 101));
+            expectSignFoldedDotAgrees(a, b,
+                                      "gauss n=" + std::to_string(n));
+            // All-zero against mixed signs: an exact zero.
+            const Cfp32Vector zero =
+                Cfp32Vector::preAlign(std::vector<float>(n, 0.0f));
+            expectSignFoldedDotAgrees(zero, b,
+                                      "zero n=" + std::to_string(n));
+            const std::vector<std::int32_t> fz = folded(zero);
+            const std::vector<std::int32_t> fb = folded(b);
+            for (const IsaLevel isa : levels())
+                EXPECT_TRUE(signFoldedDot(fz.data(), fb.data(), n, isa)
+                            == 0)
+                    << toString(isa);
+        }
+    }
+
+    // The overflow bound of the split high/low lanes: every operand at
+    // the largest sign-folded magnitude, 2^31 - 1, with equal signs,
+    // over 65536 elements.  Each pair sum is just below 2^63 and the
+    // total n * (2^31 - 1)^2 is about 2^78, far past int64.
+    constexpr std::size_t n = 65536;
+    constexpr std::int32_t top = 0x7fffffff;
+    const Int128 expected = Int128{n} * top * top;
+    for (const std::int32_t sign : {1, -1}) {
+        const std::vector<std::int32_t> v(n, sign * top);
+        for (const IsaLevel isa : levels())
+            EXPECT_TRUE(signFoldedDot(v.data(), v.data(), n, isa)
+                        == expected)
+                << toString(isa) << " sign " << sign;
+    }
+    // Opposite signs: the exact negation.
+    const std::vector<std::int32_t> pos(n, top);
+    const std::vector<std::int32_t> neg(n, -top);
+    for (const IsaLevel isa : levels())
+        EXPECT_TRUE(signFoldedDot(pos.data(), neg.data(), n, isa)
+                    == -expected)
+            << toString(isa);
+
+    // The largest significand pre-alignment can produce, 2^31 - 2^7
+    // (every mantissa bit set, zero exponent gap), against the
+    // AlignmentFreeMac oracle.
+    const float full = std::nextafter(2.0f, 0.0f);
+    const Cfp32Vector a =
+        Cfp32Vector::preAlign(std::vector<float>(n, full));
+    const Cfp32Vector b =
+        Cfp32Vector::preAlign(std::vector<float>(n, -full));
+    ASSERT_EQ(a[0].significand, 0x7fffff80u);
+    expectSignFoldedDotAgrees(a, a, "saturated equal signs");
+    expectSignFoldedDotAgrees(a, b, "saturated opposite signs");
 }

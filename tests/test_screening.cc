@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "xclass/metrics.hh"
 #include "xclass/screening.hh"
@@ -217,6 +218,64 @@ TEST(CandidateClassifier, Cfp32MatchesFp32Datapath)
     const auto top_cfp32 =
         topKIndices(std::span<const double>(cfp32), 5);
     EXPECT_GE(recall(top_fp32, top_cfp32), 0.8);
+}
+
+namespace
+{
+
+const CandidateClassifier::Datapath kAllDatapaths[] = {
+    CandidateClassifier::Datapath::Fp32,
+    CandidateClassifier::Datapath::Cfp32AlignmentFree,
+    CandidateClassifier::Datapath::Cfp16AlignmentFree,
+};
+
+} // namespace
+
+TEST(CandidateClassifier, FeatureWidthMismatchIsFatalOnEveryDatapath)
+{
+    const BenchmarkSpec spec = smallSpec();
+    const SyntheticModel model(spec, 22);
+    const CandidateClassifier classifier(model.weights());
+    const std::vector<std::uint64_t> candidates{0, 1, 2};
+    const std::vector<float> narrow(spec.hiddenDim - 1, 0.5f);
+    const std::vector<float> wide(spec.hiddenDim + 1, 0.5f);
+    for (const auto datapath : kAllDatapaths) {
+        EXPECT_THROW(classifier.scores(narrow, candidates, datapath),
+                     sim::FatalError);
+        EXPECT_THROW(classifier.scores(wide, candidates, datapath),
+                     sim::FatalError);
+    }
+}
+
+TEST(CandidateClassifier, OutOfRangeCandidateIsFatalOnEveryDatapath)
+{
+    const BenchmarkSpec spec = smallSpec();
+    const SyntheticModel model(spec, 23);
+    const CandidateClassifier classifier(model.weights());
+    sim::Rng rng(24);
+    const std::vector<float> query = model.sampleQuery(rng);
+    const std::uint64_t rows = model.weights().rows();
+    for (const auto datapath : kAllDatapaths) {
+        // One past the end, far past it, and a bad row after good
+        // ones: the check covers every candidate before any is read.
+        EXPECT_THROW(classifier.scores(query, std::vector<std::uint64_t>{
+                                                  rows},
+                                       datapath),
+                     sim::FatalError);
+        EXPECT_THROW(
+            classifier.scores(query,
+                              std::vector<std::uint64_t>{
+                                  0, 1, rows + (std::uint64_t{1} << 40)},
+                              datapath),
+            sim::FatalError);
+        // The last row itself is in range.
+        EXPECT_EQ(classifier
+                      .scores(query,
+                              std::vector<std::uint64_t>{rows - 1},
+                              datapath)
+                      .size(),
+                  1u);
+    }
 }
 
 TEST(ApproximateClassifier, ThresholdModeRespectsSetThreshold)
