@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "numeric/autotune.hh"
-#include "numeric/cfp32.hh"
+#include "numeric/cfp.hh"
 #include "numeric/int4.hh"
 #include "numeric/kernels.hh"
 #include "numeric/mac.hh"
@@ -225,8 +225,9 @@ rerankPass(const RerankInputs &in, IsaLevel isa,
             signFoldedDot(in.flat.data() + r * kRerankCols,
                           in.foldedQuery.data(), kRerankCols, isa);
         out[r] = std::ldexp(static_cast<double>(acc),
-                            cfp32DotExponent(in.exponents[r],
-                                             in.query.sharedExponent()));
+                            cfpDotExponent<Cfp32Format>(
+                                in.exponents[r],
+                                in.query.sharedExponent()));
     }
 }
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "numeric/cfp32.hh"
+#include "numeric/cfp.hh"
 #include "sim/rng.hh"
 #include "xclass/metrics.hh"
 #include "xclass/screening.hh"

@@ -13,9 +13,11 @@
 #ifndef ECSSD_ACCEL_ACCEL_CONFIG_HH
 #define ECSSD_ACCEL_ACCEL_CONFIG_HH
 
+#include <cstdint>
 
 #include "accel/row_cache.hh"
 #include "circuit/accelerator_model.hh"
+#include "xclass/workload.hh"
 
 namespace ecssd
 {
@@ -31,6 +33,19 @@ enum class WeightPrecision
      *  FP16-class accuracy. */
     Cfp16,
 };
+
+/**
+ * Stored bytes of one weight row of @p spec at @p precision: the one
+ * rule the pipeline, the layout build and the streaming deploy share.
+ * CFP16 halves the stored row (2 bytes per value).
+ */
+inline std::uint64_t
+storedRowBytes(const xclass::BenchmarkSpec &spec,
+               WeightPrecision precision)
+{
+    return precision == WeightPrecision::Cfp16 ? spec.hiddenDim * 2ULL
+                                               : spec.rowBytes();
+}
 
 /**
  * What the pipeline does when a candidate row's FP32 page comes back

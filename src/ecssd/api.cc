@@ -50,40 +50,6 @@ toString(Status status)
 namespace
 {
 
-/**
- * RAII span-name prefix for one tenant engine's device-side work:
- * every span a pipeline/redeploy call opens while the scope is alive
- * carries the tenant namespace.  A null tracer or empty prefix (the
- * default tenant) touches nothing, so single-tenant span dumps stay
- * byte-identical.
- */
-class SpanPrefixScope
-{
-  public:
-    SpanPrefixScope(sim::SpanTracer *tracer,
-                    const std::string &prefix)
-        : tracer_(prefix.empty() ? nullptr : tracer)
-    {
-        if (tracer_) {
-            saved_ = tracer_->namePrefix();
-            tracer_->setNamePrefix(prefix);
-        }
-    }
-
-    ~SpanPrefixScope()
-    {
-        if (tracer_)
-            tracer_->setNamePrefix(saved_);
-    }
-
-    SpanPrefixScope(const SpanPrefixScope &) = delete;
-    SpanPrefixScope &operator=(const SpanPrefixScope &) = delete;
-
-  private:
-    sim::SpanTracer *tracer_;
-    std::string saved_;
-};
-
 /** Recent-query ring capacity (warm-up / validation material). */
 constexpr std::size_t kRecentQueryCapacity = 32;
 
@@ -278,8 +244,7 @@ InferenceSession::classify()
     // version this session is bound to (an old-epoch session keeps
     // running on the draining device).  A tenant engine stamps its
     // namespace onto every span this run opens.
-    const SpanPrefixScope prefixed(api_->spans_,
-                                   api_->spanNamespace_);
+    const sim::SpanPrefixScope prefixed(api_->spans_, api_->spanNamespace_);
     version.system->ssd().resetTimelines();
     accel::BatchTiming timing =
         version.system->pipeline().runBatch(candidates_, 0);
@@ -508,9 +473,7 @@ EcssdApi::weightDeployStreaming(
     StreamingDeployConfig stream_config;
     stream_config.hostBudgetBytes = options_.deployHostBudgetBytes;
     stream_config.rowBytes =
-        options_.weightPrecision == accel::WeightPrecision::Cfp16
-        ? spec.hiddenDim * 2ULL
-        : spec.rowBytes();
+        accel::storedRowBytes(spec, options_.weightPrecision);
     stream_config.seed = options_.seed;
     stream_config.trainedProjection = trained_projection;
 
@@ -625,7 +588,7 @@ EcssdApi::redeployAdvance()
 {
     if (!redeploy_ || !redeploy_->machine.active())
         return Status::NoRedeploy;
-    const SpanPrefixScope prefixed(spans_, spanNamespace_);
+    const sim::SpanPrefixScope prefixed(spans_, spanNamespace_);
     StagedRedeploy &r = *redeploy_;
 
     switch (r.machine.phase()) {

@@ -42,7 +42,7 @@
 #include "ecssd/streaming_deploy.hh"
 #include "ecssd/system.hh"
 #include "ecssd/tenant.hh"
-#include "numeric/cfp32.hh"
+#include "numeric/cfp.hh"
 #include "xclass/screening.hh"
 
 namespace ecssd

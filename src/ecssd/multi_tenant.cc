@@ -8,40 +8,6 @@
 namespace ecssd
 {
 
-namespace
-{
-
-/** RAII span-name prefix around one lane's serving quantum (no-op
- *  for a null tracer, so un-instrumented runs touch nothing). */
-class SpanPrefixScope
-{
-  public:
-    SpanPrefixScope(sim::SpanTracer *tracer,
-                    const std::string &prefix)
-        : tracer_(tracer)
-    {
-        if (tracer_) {
-            saved_ = tracer_->namePrefix();
-            tracer_->setNamePrefix(prefix);
-        }
-    }
-
-    ~SpanPrefixScope()
-    {
-        if (tracer_)
-            tracer_->setNamePrefix(saved_);
-    }
-
-    SpanPrefixScope(const SpanPrefixScope &) = delete;
-    SpanPrefixScope &operator=(const SpanPrefixScope &) = delete;
-
-  private:
-    sim::SpanTracer *tracer_;
-    std::string saved_;
-};
-
-} // namespace
-
 MultiTenantServer::MultiTenantServer(const EcssdOptions &options)
     : options_(options), registry_(options.ssd.dramBytes)
 {
@@ -142,7 +108,7 @@ MultiTenantServer::serveQuantum(
     // The device is shared: this lane's batch cannot start before
     // the device finished whatever another lane ran last.
     lane.server->alignDeviceClock(sharedClock_);
-    const SpanPrefixScope prefixed(spans_, lane.ns);
+    const sim::SpanPrefixScope prefixed(spans_, lane.ns);
     std::vector<InferenceServer::Response> batch =
         lane.server->serveBatch(k);
     sharedClock_ = std::max(sharedClock_, lane.server->deviceTime());
@@ -226,7 +192,7 @@ MultiTenantServer::run(const std::vector<TenantTraffic> &mix,
     // processAll() on an empty queue does exactly that.
     for (auto &[id, lane] : lanes_) {
         lane.server->alignDeviceClock(sharedClock_);
-        const SpanPrefixScope prefixed(spans_, lane.ns);
+        const sim::SpanPrefixScope prefixed(spans_, lane.ns);
         for (InferenceServer::Response &response :
              lane.server->processAll(k))
             outcomes.at(id).push_back(std::move(response));

@@ -21,9 +21,14 @@
  * overloaded tenant sheds and browns out *its own* traffic first
  * while a healthy neighbour keeps its latency.
  *
- * A MultiTenantServer with a single tenant behaves exactly like a
- * lone InferenceServer with the same options; the layer adds no
- * device-side behaviour of its own.
+ * A single-tenant MultiTenantServer does *not* reproduce a lone
+ * InferenceServer with the same options.  A lane serves a device
+ * batch only once it is full and serves partial batches only in the
+ * terminal drain, whereas InferenceServer::runTraffic serves a
+ * partial batch as soon as the device is idle.  Below saturation a
+ * lane's requests therefore wait for batch-mates (or the drain), and
+ * its completion times and p99 are much higher than the lone
+ * server's.
  */
 
 #ifndef ECSSD_ECSSD_MULTI_TENANT_HH

@@ -159,12 +159,9 @@ EcssdSystem::EcssdSystem(const xclass::BenchmarkSpec &spec,
     // layout consumes the hot-degree predictions (here: the trace's
     // hotness oracle, standing in for INT4 row masses fine-tuned on
     // training data); a group is as hot as its hottest member.
-    const std::uint64_t row_bytes =
-        options.weightPrecision == accel::WeightPrecision::Cfp16
-        ? spec.hiddenDim * 2ULL
-        : spec.rowBytes();
     const std::uint64_t rows_per_page = std::max<std::uint64_t>(
-        1, options.ssd.pageBytes / row_bytes);
+        1, options.ssd.pageBytes
+               / accel::storedRowBytes(spec, options.weightPrecision));
     const std::uint64_t groups =
         (spec.categories + rows_per_page - 1) / rows_per_page;
     const xclass::CandidateTrace &trace = trace_->trace();

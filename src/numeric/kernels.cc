@@ -610,7 +610,7 @@ maxAbsSpan(std::span<const float> values,
 // Both preAlign passes are pure integer manipulation of the float
 // bit patterns (field extraction, shifts, compares), so every level
 // produces identical bits with no rounding caveats.  The scalar
-// bodies are the original cfp32.cc / cfp16.cc loops verbatim; the
+// bodies are the original CFP32 / CFP16 preAlign loops verbatim; the
 // vector bodies compute the same per-lane values with well-defined
 // shifts (counts masked to [0, 31] and the >= 32 case selected to
 // zero explicitly, matching the scalar semantics).  One generic
@@ -632,7 +632,7 @@ f32Bits(float v)
 constexpr std::uint32_t kF32ExpLanes = 0xffu;
 constexpr std::uint32_t kF32FracMask = 0x7fffffu;
 constexpr std::uint32_t kF32HiddenOne = 1u << 23;
-/** Mirrors of the cfp32.hh / cfp16.hh format constants (kernels.cc
+/** Mirrors of the cfp.hh format constants (kernels.cc
  *  stays header-independent of the formats it serves). */
 constexpr std::uint32_t kCfp32CompBits = 7;
 constexpr std::uint32_t kCfp16CompBits = 4;

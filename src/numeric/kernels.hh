@@ -4,7 +4,7 @@
  *
  * Every hot host-compute kernel (INT4 LUT screening, quantization,
  * the projection GEMV, the FP32 pairwise-tree dot, CFP pre-alignment,
- * the alignment-free CFP32 dot) exists at three ISA levels:
+ * the alignment-free CFP dot) exists at three ISA levels:
  *
  *   scalar  — the reference loops every other level must reproduce;
  *             also the fallback on hosts without AVX2.
@@ -137,11 +137,10 @@ float maxAbsSpan(std::span<const float> values, IsaLevel level);
 
 // --- CFP pre-alignment kernels (exact bit manipulation) -----------
 //
-// Both passes of the Cfp32Vector/Cfp16Vector::preAlign host step
-// operate purely on the integer bit patterns of the inputs, so every
-// ISA level is exact by construction.  The interleaved outputs match
-// the element layouts of cfp32.hh / cfp16.hh (static_asserted at the
-// call sites).
+// Both passes of the CfpVector::preAlign host step (cfp.hh) operate
+// purely on the integer bit patterns of the inputs, so every ISA
+// level is exact by construction.  The interleaved outputs match the
+// CfpElement layout (static_asserted at the call site).
 
 /**
  * Pass 1 of CFP32 pre-alignment: the vector-wise maximum biased
@@ -155,7 +154,8 @@ std::uint32_t cfp32MaxExponent(std::span<const float> values,
  * Pass 2 of CFP32 pre-alignment: align every 24-bit significand to
  * the shared biased exponent @p emax, writing interleaved
  * (sign, significand) pairs — 2 * values.size() uint32 words, the
- * Cfp32Element layout.  Returns the number of lossy elements.
+ * Cfp32Vector::Element layout.  Returns the number of lossy
+ * elements.
  */
 std::uint64_t cfp32AlignSpan(std::span<const float> values,
                              std::uint32_t emax, std::uint32_t *out,
@@ -172,26 +172,27 @@ std::uint32_t cfp16MaxExponent(std::span<const float> values,
 /**
  * Pass 2 of CFP16 pre-alignment: round to the 11-bit significand and
  * align to @p emax, writing interleaved (sign, significand) uint16
- * pairs — the Cfp16Element layout.  Returns the number of lossy
- * elements (round-lossy or shift-lossy, counted once).
+ * pairs — the Cfp16Vector::Element layout.  Returns the number of
+ * lossy elements (round-lossy or shift-lossy, counted once).
  */
 std::uint64_t cfp16AlignSpan(std::span<const float> values,
                              std::uint32_t emax, std::uint16_t *out,
                              IsaLevel level);
 
-// --- Alignment-free CFP32 dot (exact integer accumulation) --------
+// --- Alignment-free CFP dot (exact integer accumulation) ----------
 
 /** The exact accumulator width of the alignment-free MAC. */
 __extension__ typedef __int128 Int128;
 
 /**
- * The integer core of the alignment-free MAC (AlignmentFreeMac::dot)
- * over sign-folded CFP32 significands (Cfp32Vector::signFoldInto):
- * returns sum_i a[i] * b[i] exactly.  Every operand satisfies
- * |x| <= 2^31 - 1, so each product is exact in int64; the vector
- * levels split pair sums into high and low 32-bit halves kept in
- * separate int64 lanes and combine them once in 128 bits, so every
- * level returns the scalar reference's integer.  @p n < 2^31.
+ * The integer core of the alignment-free MAC (AlignmentFreeMac::dot,
+ * alignmentFreeDot16) over sign-folded CFP32 or CFP16 significands
+ * (CfpVector::signFoldInto): returns sum_i a[i] * b[i] exactly.
+ * Every operand satisfies |x| <= 2^31 - 1, so each product is exact
+ * in int64; the vector levels split pair sums into high and low
+ * 32-bit halves kept in separate int64 lanes and combine them once
+ * in 128 bits, so every level returns the scalar reference's
+ * integer.  @p n < 2^31.
  */
 Int128 signFoldedDot(const std::int32_t *a, const std::int32_t *b,
                      std::size_t n, IsaLevel level);

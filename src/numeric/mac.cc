@@ -135,8 +135,8 @@ AlignmentFreeMac::dot(const Cfp32Vector &a, const Cfp32Vector &b)
     // through the dispatched signFoldedDot() kernel.
     __int128 acc = 0;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        const Cfp32Element &ea = a[i];
-        const Cfp32Element &eb = b[i];
+        const Cfp32Vector::Element &ea = a[i];
+        const Cfp32Vector::Element &eb = b[i];
         const __int128 product =
             static_cast<__int128>(
                 static_cast<std::uint64_t>(ea.significand)
@@ -152,7 +152,8 @@ AlignmentFreeMac::dot(const Cfp32Vector &a, const Cfp32Vector &b)
     result.ops.normalizations = 1;
     result.value = std::ldexp(
         static_cast<double>(acc),
-        cfp32DotExponent(a.sharedExponent(), b.sharedExponent()));
+        cfpDotExponent<Cfp32Format>(a.sharedExponent(),
+                                    b.sharedExponent()));
     return result;
 }
 

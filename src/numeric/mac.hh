@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <span>
 
-#include "numeric/cfp32.hh"
+#include "numeric/cfp.hh"
 
 namespace ecssd
 {

@@ -213,6 +213,39 @@ class ScopedSpan
     SpanTracer::SpanId id_ = 0;
 };
 
+/**
+ * RAII span-name prefix for one tenant's device-side work: every span
+ * opened while the scope is alive carries the tenant namespace
+ * ("tenant.<name>.").  A null tracer or empty prefix (the default
+ * tenant) touches nothing, so single-tenant span dumps stay
+ * byte-identical.
+ */
+class SpanPrefixScope
+{
+  public:
+    SpanPrefixScope(SpanTracer *tracer, const std::string &prefix)
+        : tracer_(prefix.empty() ? nullptr : tracer)
+    {
+        if (tracer_) {
+            saved_ = tracer_->namePrefix();
+            tracer_->setNamePrefix(prefix);
+        }
+    }
+
+    ~SpanPrefixScope()
+    {
+        if (tracer_)
+            tracer_->setNamePrefix(saved_);
+    }
+
+    SpanPrefixScope(const SpanPrefixScope &) = delete;
+    SpanPrefixScope &operator=(const SpanPrefixScope &) = delete;
+
+  private:
+    SpanTracer *tracer_;
+    std::string saved_;
+};
+
 } // namespace sim
 } // namespace ecssd
 

@@ -210,23 +210,24 @@ CandidateClassifier::CandidateClassifier(
 /** Pre-alignment rows per parallel chunk. */
 static constexpr std::size_t kAlignGrain = 256;
 
+template <class Format>
 void
-CandidateClassifier::ensureAligned() const
+CandidateClassifier::ensureAligned(AlignedStore &store) const
 {
-    if (aligned_)
+    if (store.filled)
         return;
     const std::size_t cols = weights_.cols();
-    alignedFlat_.resize(weights_.rows() * cols);
-    alignedExponents_.resize(weights_.rows());
+    store.folded.resize(weights_.rows() * cols);
+    store.exponents.resize(weights_.rows());
     const auto align_rows = [&](std::size_t row_begin,
                                 std::size_t row_end) {
         // One row buffer per chunk, refilled for every row.
-        numeric::Cfp32Vector row;
+        numeric::CfpVector<Format> row;
         for (std::size_t r = row_begin; r < row_end; ++r) {
-            numeric::Cfp32Vector::preAlignInto(weights_.row(r), isa_,
-                                               row);
-            row.signFoldInto(alignedFlat_.data() + r * cols);
-            alignedExponents_[r] = row.sharedExponent();
+            numeric::CfpVector<Format>::preAlignInto(weights_.row(r),
+                                                     isa_, row);
+            row.signFoldInto(store.folded.data() + r * cols);
+            store.exponents[r] = row.sharedExponent();
         }
     };
     if (pool_)
@@ -234,27 +235,7 @@ CandidateClassifier::ensureAligned() const
                            align_rows);
     else
         align_rows(0, weights_.rows());
-    aligned_ = true;
-}
-
-void
-CandidateClassifier::ensureAligned16() const
-{
-    if (aligned16_)
-        return;
-    alignedRows16_.resize(weights_.rows());
-    const auto align_rows = [&](std::size_t row_begin,
-                                std::size_t row_end) {
-        for (std::size_t r = row_begin; r < row_end; ++r)
-            alignedRows16_[r] =
-                numeric::Cfp16Vector::preAlign(weights_.row(r));
-    };
-    if (pool_)
-        pool_->parallelFor(0, weights_.rows(), kAlignGrain,
-                           align_rows);
-    else
-        align_rows(0, weights_.rows());
-    aligned16_ = true;
+    store.filled = true;
 }
 
 /** Candidate MACs per parallel chunk of the FP32 re-rank. */
@@ -304,37 +285,34 @@ CandidateClassifier::scores(std::span<const float> feature,
         return out;
     }
 
-    if (datapath == Datapath::Cfp16AlignmentFree) {
-        ensureAligned16();
-        const numeric::Cfp16Vector aligned_feature =
-            numeric::Cfp16Vector::preAlign(feature);
+    // The alignment-free MAC of AlignmentFreeMac::dot (CFP32) and
+    // alignmentFreeDot16 (CFP16), as the exact dispatched integer
+    // kernel over the format's flat sign-folded rows: the query is
+    // pre-aligned and sign-folded once per call.  The integer sum is
+    // exact in either format, so ldexp of it gives the oracle's bits.
+    const auto rerank = [&](auto format, AlignedStore &store) {
+        using Format = decltype(format);
+        ensureAligned<Format>(store);
+        const auto aligned_feature =
+            numeric::CfpVector<Format>::preAlign(feature, isa_);
+        std::vector<std::int32_t> folded_feature(cols);
+        aligned_feature.signFoldInto(folded_feature.data());
+        const std::uint32_t feature_exponent =
+            aligned_feature.sharedExponent();
         run([&](std::uint64_t row) {
-            return numeric::alignmentFreeDot16(alignedRows16_[row],
-                                               aligned_feature)
-                .value;
+            const numeric::Int128 acc = numeric::signFoldedDot(
+                store.folded.data() + row * cols,
+                folded_feature.data(), cols, isa_);
+            return std::ldexp(static_cast<double>(acc),
+                              numeric::cfpDotExponent<Format>(
+                                  store.exponents[row],
+                                  feature_exponent));
         });
-        return out;
-    }
-
-    // The alignment-free MAC of AlignmentFreeMac::dot, as the exact
-    // dispatched integer kernel over the flat sign-folded rows: the
-    // query is pre-aligned and sign-folded once per call.
-    ensureAligned();
-    const numeric::Cfp32Vector aligned_feature =
-        numeric::Cfp32Vector::preAlign(feature, isa_);
-    std::vector<std::int32_t> folded_feature(cols);
-    aligned_feature.signFoldInto(folded_feature.data());
-    const std::uint32_t feature_exponent =
-        aligned_feature.sharedExponent();
-    run([&](std::uint64_t row) {
-        const numeric::Int128 acc = numeric::signFoldedDot(
-            alignedFlat_.data() + row * cols, folded_feature.data(),
-            cols, isa_);
-        return std::ldexp(static_cast<double>(acc),
-                          numeric::cfp32DotExponent(
-                              alignedExponents_[row],
-                              feature_exponent));
-    });
+    };
+    if (datapath == Datapath::Cfp16AlignmentFree)
+        rerank(numeric::Cfp16Format{}, alignedCfp16_);
+    else
+        rerank(numeric::Cfp32Format{}, alignedCfp32_);
     return out;
 }
 

@@ -18,8 +18,7 @@
 #include <vector>
 
 #include "numeric/autotune.hh"
-#include "numeric/cfp16.hh"
-#include "numeric/cfp32.hh"
+#include "numeric/cfp.hh"
 #include "numeric/int4.hh"
 #include "numeric/mac.hh"
 #include "numeric/matrix.hh"
@@ -170,7 +169,14 @@ class Screener
 class CandidateClassifier
 {
   public:
-    /** Which arithmetic the full-precision stage uses. */
+    /**
+     * Which arithmetic the full-precision stage uses.
+     *
+     * The serving paths (InferenceServer, InferenceSession::classify)
+     * always re-rank with Cfp32AlignmentFree: the device's weight
+     * precision (WeightPrecision::Cfp16, `--precision cfp16`) changes
+     * the simulated fetch and MAC time, not the served answers.
+     */
     enum class Datapath
     {
         /** IEEE binary32 reference. */
@@ -213,19 +219,24 @@ class CandidateClassifier
     // ISA level captured at construction so every re-rank in this
     // classifier's lifetime runs the same kernels.
     numeric::IsaLevel isa_ = numeric::IsaLevel::Scalar;
-    // The pre-aligned weights (the offline Pre_align()), built lazily
-    // on first CFP32 use: one flat row-major L x D array of
-    // sign-folded significands plus one shared exponent per row —
-    // L*D*4 B in one allocation, down from ~L*D*8 B of (sign,
-    // significand) pairs in one heap vector per row.
-    mutable std::vector<std::int32_t> alignedFlat_;
-    mutable std::vector<std::uint32_t> alignedExponents_;
-    mutable bool aligned_ = false;
-    mutable std::vector<numeric::Cfp16Vector> alignedRows16_;
-    mutable bool aligned16_ = false;
+    // The pre-aligned weights (the offline Pre_align()) of one CFP
+    // format, built lazily on that format's first use: one flat
+    // row-major L x D array of sign-folded significands plus one
+    // shared exponent per row — L*D*4 B in one allocation.  Both
+    // formats share the layout and the signFoldedDot() kernel: a
+    // CFP16 significand (15 bits) fits the same int32 operand as a
+    // CFP32 one (31 bits).
+    struct AlignedStore
+    {
+        std::vector<std::int32_t> folded;
+        std::vector<std::uint32_t> exponents;
+        bool filled = false;
+    };
+    mutable AlignedStore alignedCfp32_;
+    mutable AlignedStore alignedCfp16_;
 
-    void ensureAligned() const;
-    void ensureAligned16() const;
+    template <class Format>
+    void ensureAligned(AlignedStore &store) const;
 };
 
 /** End-to-end approximate classifier: screen, then classify. */

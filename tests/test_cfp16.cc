@@ -12,7 +12,7 @@
 
 #include "circuit/mac_circuit.hh"
 #include "ecssd/system.hh"
-#include "numeric/cfp16.hh"
+#include "numeric/cfp.hh"
 #include "numeric/mac.hh"
 #include "sim/rng.hh"
 #include "xclass/metrics.hh"

@@ -10,7 +10,7 @@
 #include <limits>
 #include <vector>
 
-#include "numeric/cfp32.hh"
+#include "numeric/cfp.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 

@@ -23,8 +23,7 @@
 #include <cstring>
 #include <vector>
 
-#include "numeric/cfp16.hh"
-#include "numeric/cfp32.hh"
+#include "numeric/cfp.hh"
 #include "numeric/int4.hh"
 #include "numeric/kernels.hh"
 #include "numeric/mac.hh"
@@ -542,21 +541,38 @@ namespace
 {
 
 /** Sign-fold @p v (the signFoldedDot operand layout). */
+template <class Format>
 std::vector<std::int32_t>
-folded(const Cfp32Vector &v)
+folded(const CfpVector<Format> &v)
 {
     std::vector<std::int32_t> out(v.size());
     v.signFoldInto(out.data());
     return out;
 }
 
+/** The scalar datapath model of each format's alignment-free dot. */
+double
+oracleDot(const Cfp32Vector &a, const Cfp32Vector &b)
+{
+    return AlignmentFreeMac::dot(a, b).value;
+}
+
+double
+oracleDot(const Cfp16Vector &a, const Cfp16Vector &b)
+{
+    return alignmentFreeDot16(a, b).value;
+}
+
 /**
  * Assert signFoldedDot() of the pre-aligned @p a, @p b returns the
  * scalar integer at every supported level, and that the scaled value
- * has AlignmentFreeMac::dot()'s bits.
+ * has the format oracle's bits (AlignmentFreeMac::dot() for CFP32,
+ * alignmentFreeDot16() for CFP16).
  */
+template <class Format>
 void
-expectSignFoldedDotAgrees(const Cfp32Vector &a, const Cfp32Vector &b,
+expectSignFoldedDotAgrees(const CfpVector<Format> &a,
+                          const CfpVector<Format> &b,
                           const std::string &label)
 {
     ASSERT_EQ(a.size(), b.size());
@@ -564,7 +580,7 @@ expectSignFoldedDotAgrees(const Cfp32Vector &a, const Cfp32Vector &b,
     const std::vector<std::int32_t> fb = folded(b);
     const Int128 ref =
         signFoldedDot(fa.data(), fb.data(), fa.size(), IsaLevel::Scalar);
-    const double oracle = AlignmentFreeMac::dot(a, b).value;
+    const double oracle = oracleDot(a, b);
     for (const IsaLevel isa : levels()) {
         SCOPED_TRACE(label + " isa=" + toString(isa));
         const Int128 got =
@@ -574,7 +590,8 @@ expectSignFoldedDotAgrees(const Cfp32Vector &a, const Cfp32Vector &b,
             << " low " << static_cast<std::uint64_t>(got);
         const double value = std::ldexp(
             static_cast<double>(got),
-            cfp32DotExponent(a.sharedExponent(), b.sharedExponent()));
+            cfpDotExponent<Format>(a.sharedExponent(),
+                                   b.sharedExponent()));
         std::uint64_t gv = 0, ov = 0;
         std::memcpy(&gv, &value, sizeof(gv));
         std::memcpy(&ov, &oracle, sizeof(ov));
@@ -602,6 +619,12 @@ TEST(KernelsDifferential, AlignmentFreeDotAllLevelsByteIdentical)
                 Cfp32Vector::preAlign(std::vector<float>(n, 0.0f));
             expectSignFoldedDotAgrees(zero, b,
                                       "zero n=" + std::to_string(n));
+            // The CFP16 re-rank's operands: 15-bit folded
+            // significands through the same kernel.
+            expectSignFoldedDotAgrees(
+                Cfp16Vector::preAlign(randomVector(n, seed)),
+                Cfp16Vector::preAlign(randomVector(n, seed + 101)),
+                "cfp16 gauss n=" + std::to_string(n));
             const std::vector<std::int32_t> fz = folded(zero);
             const std::vector<std::int32_t> fb = folded(b);
             for (const IsaLevel isa : levels())
@@ -644,4 +667,15 @@ TEST(KernelsDifferential, AlignmentFreeDotAllLevelsByteIdentical)
     ASSERT_EQ(a[0].significand, 0x7fffff80u);
     expectSignFoldedDotAgrees(a, a, "saturated equal signs");
     expectSignFoldedDotAgrees(a, b, "saturated opposite signs");
+
+    // The largest CFP16 significand, 2^15 - 2^4 (all 10 kept mantissa
+    // bits set, zero exponent gap), against alignmentFreeDot16.
+    const float full16 = 2.0f - 0x1p-10f;
+    const Cfp16Vector a16 =
+        Cfp16Vector::preAlign(std::vector<float>(n, full16));
+    const Cfp16Vector b16 =
+        Cfp16Vector::preAlign(std::vector<float>(n, -full16));
+    ASSERT_EQ(a16[0].significand, 0x7ff0u);
+    expectSignFoldedDotAgrees(a16, a16, "cfp16 saturated equal signs");
+    expectSignFoldedDotAgrees(a16, b16, "cfp16 saturated opposite signs");
 }

@@ -304,43 +304,52 @@ TEST(ParallelGolden, ScaleOutFleetMatchesAcrossIsaLevels)
 
 TEST(ParallelGolden, Cfp32RerankMatchesAcrossThreadsAndIsaLevels)
 {
-    // The CFP32 re-rank runs the dispatched alignment-free dot over
-    // flat sign-folded rows.  D = 203 is a multiple of neither 8 nor
-    // 16, so every vector level also runs its scalar tail; the
-    // predictions must not depend on the level or the pool size.
+    // Both CFP re-ranks (CFP32 and CFP16) run the dispatched
+    // alignment-free dot over flat sign-folded rows.  D = 203 is a
+    // multiple of neither 8 nor 16, so every vector level also runs
+    // its scalar tail; the predictions must not depend on the level
+    // or the pool size.
     IsaAutoGuard guard;
     xclass::BenchmarkSpec spec = smallSpec();
     spec.hiddenDim = 203;
     const xclass::SyntheticModel model(spec, 1);
     const auto queries = sampleQueries(model, 4);
-    const auto predict = [&](const std::string &isa, unsigned threads) {
-        numeric::applyIsaRequest(isa);
-        sim::ThreadPool pool(threads);
-        const xclass::ApproximateClassifier classifier(
-            model.weights(), spec, 2, nullptr,
-            threads > 1 ? &pool : nullptr);
-        std::vector<xclass::ApproximateClassifier::Prediction> out;
-        for (const auto &query : queries)
-            out.push_back(classifier.predict(
-                query, 5, xclass::FilterMode::TopRatio,
-                xclass::CandidateClassifier::Datapath::
-                    Cfp32AlignmentFree));
-        return out;
-    };
+    using Datapath = xclass::CandidateClassifier::Datapath;
+    for (const Datapath datapath :
+         {Datapath::Cfp32AlignmentFree, Datapath::Cfp16AlignmentFree}) {
+        const auto predict = [&](const std::string &isa,
+                                 unsigned threads) {
+            numeric::applyIsaRequest(isa);
+            sim::ThreadPool pool(threads);
+            const xclass::ApproximateClassifier classifier(
+                model.weights(), spec, 2, nullptr,
+                threads > 1 ? &pool : nullptr);
+            std::vector<xclass::ApproximateClassifier::Prediction> out;
+            for (const auto &query : queries)
+                out.push_back(classifier.predict(
+                    query, 5, xclass::FilterMode::TopRatio, datapath));
+            return out;
+        };
 
-    const auto reference = predict("scalar", 1);
-    for (const std::string &isa : supportedIsaNames()) {
-        for (const unsigned threads : {1u, 2u, 8u}) {
-            const auto replay = predict(isa, threads);
-            ASSERT_EQ(replay.size(), reference.size());
-            for (std::size_t q = 0; q < reference.size(); ++q) {
-                EXPECT_EQ(replay[q].topCategories,
-                          reference[q].topCategories)
-                    << isa << " threads " << threads << " query " << q;
-                EXPECT_EQ(replay[q].topScores, reference[q].topScores)
-                    << isa << " threads " << threads << " query " << q;
-                EXPECT_EQ(replay[q].candidateCount,
-                          reference[q].candidateCount);
+        const auto reference = predict("scalar", 1);
+        for (const std::string &isa : supportedIsaNames()) {
+            for (const unsigned threads : {1u, 2u, 8u}) {
+                const auto replay = predict(isa, threads);
+                const std::string where = isa + " threads "
+                    + std::to_string(threads) + " datapath "
+                    + std::to_string(static_cast<int>(datapath));
+                ASSERT_EQ(replay.size(), reference.size()) << where;
+                for (std::size_t q = 0; q < reference.size(); ++q) {
+                    EXPECT_EQ(replay[q].topCategories,
+                              reference[q].topCategories)
+                        << where << " query " << q;
+                    EXPECT_EQ(replay[q].topScores,
+                              reference[q].topScores)
+                        << where << " query " << q;
+                    EXPECT_EQ(replay[q].candidateCount,
+                              reference[q].candidateCount)
+                        << where;
+                }
             }
         }
     }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -218,6 +219,43 @@ TEST(CandidateClassifier, Cfp32MatchesFp32Datapath)
     const auto top_cfp32 =
         topKIndices(std::span<const double>(cfp32), 5);
     EXPECT_GE(recall(top_fp32, top_cfp32), 0.8);
+}
+
+TEST(CandidateClassifier, Cfp16ScoresMatchAlignmentFreeDot16Bitwise)
+{
+    // The CFP16 re-rank runs the dispatched integer kernel over the
+    // flat sign-folded store; every score must carry the bits of the
+    // scalar datapath model, serial and with a chunked pool alike.
+    const BenchmarkSpec spec = smallSpec();
+    const SyntheticModel model(spec, 25);
+    sim::Rng rng(26);
+    const std::vector<float> query = model.sampleQuery(rng);
+    const numeric::Cfp16Vector aligned_query =
+        numeric::Cfp16Vector::preAlign(query);
+    std::vector<std::uint64_t> candidates;
+    for (std::uint64_t r = 0; r < model.weights().rows(); r += 3)
+        candidates.push_back(r);
+
+    sim::ThreadPool pool(2);
+    const std::vector<sim::ThreadPool *> pools{nullptr, &pool};
+    for (sim::ThreadPool *with : pools) {
+        const CandidateClassifier classifier(model.weights(), with);
+        const std::vector<double> scores = classifier.scores(
+            query, candidates,
+            CandidateClassifier::Datapath::Cfp16AlignmentFree);
+        ASSERT_EQ(scores.size(), candidates.size());
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            const double oracle =
+                numeric::alignmentFreeDot16(
+                    numeric::Cfp16Vector::preAlign(
+                        model.weights().row(candidates[i])),
+                    aligned_query)
+                    .value;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(scores[i]),
+                      std::bit_cast<std::uint64_t>(oracle))
+                << "row " << candidates[i] << " pool " << (with != nullptr);
+        }
+    }
 }
 
 namespace
